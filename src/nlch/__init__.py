@@ -43,14 +43,10 @@ from .grid import (
     fd_gradient,
     gradient,
     h1_seminorm_sq,
-    h1_seminorm_sq_spectral,
-    hminus1_norm,
     lp_norm,
     mean,
-    truncate_above,
-    truncate_below,
 )
-from .kernels import Kernel, build_kernel, convolve, convolve_gradient
+from .kernels import Kernel, build_kernel, convolve
 from .potential import (
     PotentialDomainError,
     PotentialParams,

@@ -19,9 +19,9 @@ from . import diagnostics as diag
 from . import dynamics as dyn
 from . import equilibrium as eq
 from . import potential as pot
+from . import snapshots as snap
 from .config import ConfigError, load_config
 from .grid import Field, mean
-from .snapshots import SnapshotError, read_snapshot, write_snapshot
 
 
 class UsageError(Exception):
@@ -97,7 +97,7 @@ def _cmd_simulate(args) -> int:
             handle.write(row.to_csv() + "\n")
 
         def on_snapshot(st):
-            write_snapshot(st.phi, st.t, outdir / f"snapshot_{st.step_count:08d}.nlch")
+            snap.write_snapshot(st.phi, st.t, outdir / f"snapshot_{st.step_count:08d}.nlch")
 
         state, series = dyn.run(
             state,
@@ -111,7 +111,7 @@ def _cmd_simulate(args) -> int:
             on_row=on_row,
             on_snapshot=on_snapshot if cfg.output.snapshot_stride > 0 else None,
         )
-    write_snapshot(state.phi, state.t, outdir / "final.nlch")
+    snap.write_snapshot(state.phi, state.t, outdir / snap.FINAL_SNAPSHOT_NAME)
     margin = min(r.delta_sep for r in series.rows) if len(series) else float("nan")
     print(f"t_final = {_fmt(state.t)}")
     print(f"steps = {state.step_count}")
@@ -127,7 +127,7 @@ def _cmd_equilibrium(args) -> int:
     kernel = cfg.make_kernel(grid)
     p = cfg.make_potential()
     if args.guess is not None:
-        guess, _ = read_snapshot(args.guess, expected_grid=grid)
+        guess, _ = snap.read_snapshot(args.guess, expected_grid=grid)
         m = mean(guess)
     else:
         m = cfg.initial.m
@@ -138,7 +138,7 @@ def _cmd_equilibrium(args) -> int:
     outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     snap_path = outdir / "equilibrium.nlch"
-    write_snapshot(result.phi_inf, 0.0, snap_path)
+    snap.write_snapshot(result.phi_inf, 0.0, snap_path)
     print(f"converged = {str(result.converged).lower()}")
     print(f"iterations = {result.iterations}")
     print(f"mu_inf = {_fmt(result.mu_inf)}")
@@ -156,15 +156,7 @@ def _cmd_degiorgi(args) -> int:
     grid = cfg.make_grid()
     kernel = cfg.make_kernel(grid)
     p = cfg.make_potential()
-    snap_dir = Path(args.snapshots)
-    paths = [p for p in sorted(snap_dir.glob("*.nlch")) if p.name != "final.nlch"]
-    if not paths:
-        raise SnapshotError(f"no strided *.nlch snapshots in {snap_dir}")
-    snaps = []
-    for path in paths:
-        f, t = read_snapshot(path, expected_grid=grid)
-        snaps.append((t, f))
-    snaps.sort(key=lambda pair: pair[0])
+    snaps = snap.read_snapshot_dir(args.snapshots, expected_grid=grid)
     window = cfg.degiorgi.window if cfg.degiorgi.window > 0.0 else None
     if window is not None:
         t_last = snaps[-1][0]
@@ -308,7 +300,7 @@ def main(argv=None) -> int:
     except (dyn.StepError, dyn.MonitorViolation, pot.PotentialDomainError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 2
-    except SnapshotError as exc:
+    except snap.SnapshotError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -315,8 +315,10 @@ def _negated(snapshots):
     return [(t, Field(f.grid, -f.values)) for t, f in snapshots]
 
 
-def _side_check(snapshots, params: DeGiorgiParams, n_max: int) -> TrajectorySideCheck:
-    coeff = recursion_coefficient(params)
+def _side_check(
+    snapshots, params: DeGiorgiParams, coeff: RecursionCoefficients, n_max: int
+) -> TrajectorySideCheck:
+    """One phase of the trajectory check on time-sorted snapshots."""
     meas = level_set_measures(snapshots, params.delta, n_max)
     y0 = float(meas.y[0])
     ok = y0 <= coeff.threshold * (1.0 + 1e-12)
@@ -331,12 +333,11 @@ def _side_check(snapshots, params: DeGiorgiParams, n_max: int) -> TrajectorySide
             ym <= bn * (1.0 + 1e-12) for ym, bn in zip(meas.y, bounds)
         )
     # measure of the limiting superlevel set {phi >= 1 - delta} over the window
-    snaps, times, stride = _sorted_uniform(snapshots)
-    grid = snaps[0][1].grid
+    cv = snapshots[0][1].grid.cell_volume
     lim = 1.0 - params.delta
     superlevel = sum(
-        int(np.count_nonzero(f.values >= lim)) * grid.cell_volume * stride
-        for _, f in snaps
+        int(np.count_nonzero(f.values >= lim)) * cv * meas.stride
+        for _, f in snapshots
     )
     return TrajectorySideCheck(
         measures=meas,
@@ -362,11 +363,12 @@ def verify_scheme_on_trajectory(
         t_last = snaps[-1][0]
         cutoff = t_last - window * (1.0 + 1e-12)
         snaps = [(t, f) for t, f in snaps if t >= cutoff]
-    upper = _side_check(snaps, params, n_max)
-    lower = _side_check(_negated(snaps), params, n_max)
+    coeff = recursion_coefficient(params)
+    upper = _side_check(snaps, params, coeff, n_max)
+    lower = _side_check(_negated(snaps), params, coeff, n_max)
     return TrajectoryCheck(
         params=params,
-        coefficients=recursion_coefficient(params),
+        coefficients=coeff,
         window_length=admissible_window_length(params),
         upper=upper,
         lower=lower,

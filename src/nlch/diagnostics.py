@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import potential as pot
-from .grid import Field, Grid, fd_gradient, h1_seminorm_sq, lp_norm, mean
+from .grid import Field, Grid, fd_gradient, h1_seminorm_sq, irfft, lp_norm, mean
 from .kernels import Kernel, convolve
 
 CSV_COLUMNS = (
@@ -33,15 +33,26 @@ CSV_COLUMNS = (
 FLAT_GRADIENT_TOL = 1e-14
 
 
-def energy(phi: Field, kernel: Kernel, p: pot.PotentialParams) -> float:
-    """Nonlocal free energy: -1/2 int phi (J*phi) + int F(phi)."""
+def energy_pair(
+    phi: Field, j_phi: Field, kernel: Kernel, p: pot.PotentialParams
+) -> tuple[float, float]:
+    """(energy, energy_alt) of phi from its convolution j_phi = J*phi, both
+    read off one evaluation of F."""
     if float(np.max(np.abs(phi.values))) > 1.0:
         raise pot.PotentialDomainError("energy argument exceeds [-1, 1]")
     cv = phi.grid.cell_volume
-    conv = convolve(kernel, phi).values
-    quad = -0.5 * float(np.sum(phi.values * conv)) * cv
-    entropic = float(np.sum(pot.value(p, phi.values))) * cv
-    return quad + entropic
+    a = kernel.j_integral
+    f_vals = pot.value(p, phi.values)
+    cross = float(np.sum(phi.values * j_phi.values)) * cv
+    sq = float(np.sum(phi.values**2)) * cv
+    e = -0.5 * cross + float(np.sum(f_vals)) * cv
+    e_alt = 0.5 * a * sq - 0.5 * cross + float(np.sum(f_vals - 0.5 * a * phi.values**2)) * cv
+    return e, e_alt
+
+
+def energy(phi: Field, kernel: Kernel, p: pot.PotentialParams) -> float:
+    """Nonlocal free energy: -1/2 int phi (J*phi) + int F(phi)."""
+    return energy_pair(phi, convolve(kernel, phi), kernel, p)[0]
 
 
 def energy_alt(phi: Field, kernel: Kernel, p: pot.PotentialParams) -> float:
@@ -52,16 +63,7 @@ def energy_alt(phi: Field, kernel: Kernel, p: pot.PotentialParams) -> float:
     - 1/2 int phi (J*phi), and the entropic part carries the compensating
     -(j_integral/2) phi^2.
     """
-    if float(np.max(np.abs(phi.values))) > 1.0:
-        raise pot.PotentialDomainError("energy argument exceeds [-1, 1]")
-    cv = phi.grid.cell_volume
-    a = kernel.j_integral
-    conv = convolve(kernel, phi).values
-    sq = float(np.sum(phi.values**2)) * cv
-    cross = float(np.sum(phi.values * conv)) * cv
-    difference_part = 0.5 * a * sq - 0.5 * cross
-    entropic = float(np.sum(pot.value(p, phi.values) - 0.5 * a * phi.values**2)) * cv
-    return difference_part + entropic
+    return energy_pair(phi, convolve(kernel, phi), kernel, p)[1]
 
 
 def separation_margin(phi: Field) -> float:
@@ -92,17 +94,11 @@ def gn_constant_estimate(
     random band-limited probes.  A sampling supremum, not a certified bound."""
     rng = np.random.default_rng(seed)
     kmax = 2.0 * np.pi * (band_fraction * grid.n_per_axis / 2) / grid.edge_length
-    k2 = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        k = 2.0 * np.pi * np.fft.fftfreq(grid.n_per_axis, d=grid.spacing)
-        shape = [1] * grid.dim
-        shape[axis] = k.size
-        k2 = k2 + k.reshape(shape) ** 2
-    mask = k2 <= kmax**2
+    mask = grid.k_squared <= kmax**2
     best = 0.0
     for _ in range(n_probes):
         white = rng.standard_normal(grid.shape)
-        probe = np.fft.ifftn(np.fft.fftn(white) * mask).real
+        probe = irfft(grid, np.fft.rfftn(white) * mask)
         best = max(best, gn_ratio(Field(grid, probe)))
     return best
 
@@ -227,8 +223,7 @@ def make_row(
 ) -> DiagnosticsRow:
     """Assemble one diagnostics row from a simulation state."""
     phi = state.phi
-    e = energy(phi, kernel, p)
-    ea = energy_alt(phi, kernel, p)
+    e, ea = energy_pair(phi, state.j_phi, kernel, p)
     mn = float(np.min(phi.values))
     mx = float(np.max(phi.values))
     dissip = state.dissipation_accum

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potential as pot
-from .diagnostics import DiagnosticsRow, TimeSeries, energy, make_row
+from .diagnostics import DiagnosticsRow, TimeSeries, energy_pair, make_row
 from .grid import Field, Grid, h1_seminorm_sq, irfft
 from .kernels import Kernel, convolve_values
 from .snapshots import read_snapshot
@@ -102,6 +102,7 @@ class SimState:
     t: float
     phi: Field
     mu: Field
+    j_phi: Field  # J*phi, the one convolution of this state
     dissipation_accum: float
     step_count: int
     last_inner_iters: int = 0
@@ -119,8 +120,10 @@ def _tanh_profile(grid: Grid, width: float) -> np.ndarray:
     )
 
 
-def _chemical_potential(phi_values: np.ndarray, kernel: Kernel, p: pot.PotentialParams) -> np.ndarray:
-    return pot.derivative(p, phi_values) - convolve_values(kernel, phi_values)
+def _chemical_potential(phi: Field, kernel: Kernel, p: pot.PotentialParams) -> tuple[Field, Field]:
+    """mu = F'(phi) - J*phi, returned with the J*phi it is built from."""
+    j_phi = convolve_values(kernel, phi.values)
+    return Field(phi.grid, pot.derivative(p, phi.values) - j_phi), Field(phi.grid, j_phi)
 
 
 def init_state(
@@ -147,8 +150,8 @@ def init_state(
             f"{1.0 - initial.delta0}"
         )
     phi = Field(grid, vals)
-    mu = Field(grid, _chemical_potential(phi.values, kernel, p))
-    return SimState(t=0.0, phi=phi, mu=mu, dissipation_accum=0.0, step_count=0)
+    mu, j_phi = _chemical_potential(phi, kernel, p)
+    return SimState(t=0.0, phi=phi, mu=mu, j_phi=j_phi, dissipation_accum=0.0, step_count=0)
 
 
 def _attempt_inner_solve(
@@ -213,12 +216,13 @@ def step(
     # restore the k=0 mode exactly (transform roundoff only)
     solved = solved + (phi_n.mean() - solved.mean())
     phi = Field(state.phi.grid, solved)
-    mu = Field(state.phi.grid, _chemical_potential(phi.values, kernel, p))
+    mu, j_phi = _chemical_potential(phi, kernel, p)
     dissip = state.dissipation_accum + dt_try * h1_seminorm_sq(mu)
     return SimState(
         t=state.t + dt_try,
         phi=phi,
         mu=mu,
+        j_phi=j_phi,
         dissipation_accum=dissip,
         step_count=state.step_count + 1,
         last_inner_iters=iters,
@@ -280,7 +284,7 @@ def run(
     if t_end <= state.t:
         return state, series
 
-    e_base = energy(state.phi, kernel, p)
+    e_base, _ = energy_pair(state.phi, state.j_phi, kernel, p)
     d_base = state.dissipation_accum
 
     def emit(st: SimState) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potential as pot
-from .diagnostics import energy
+from .diagnostics import energy, energy_pair
 from .grid import Field, h1_seminorm_sq, lp_norm, mean
 from .kernels import Kernel, convolve_values
 
@@ -159,10 +159,11 @@ def monitor_convergence(
         raise ValueError("no snapshots to monitor")
     times, grad_norms, distances, energies = [], [], [], []
     for t, f in snaps:
-        mu_vals = pot.derivative(p, f.values) - convolve_values(kernel, f.values)
+        conv = convolve_values(kernel, f.values)
+        mu_vals = pot.derivative(p, f.values) - conv
         grad_norms.append(np.sqrt(h1_seminorm_sq(Field(f.grid, mu_vals))))
         distances.append(lp_norm(Field(f.grid, f.values - phi_inf.values), 2.0))
-        energies.append(energy(f, kernel, p))
+        energies.append(energy_pair(f, Field(f.grid, conv), kernel, p)[0])
         times.append(t)
     energies = np.array(energies)
     e_inf = energy(phi_inf, kernel, p)

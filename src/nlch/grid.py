@@ -4,6 +4,10 @@ The box is [0, L)^dim sampled on N points per axis (N a power of two), so all
 differentiation and convolution can go through real-to-complex FFTs.  Spatial
 integrals use midpoint quadrature, values * cell_volume, which on the torus is
 the trapezoidal rule and is spectrally accurate for smooth integrands.
+
+Wavenumbers are built in one place, the Grid's cached rfftn-layout symbols
+k_squared and deriv_wavenumbers; every spectral operation of the package,
+the H^1 seminorm by Parseval included, reads them.
 """
 
 from __future__ import annotations
@@ -80,15 +84,10 @@ class Grid:
 
     def _axis_wavenumbers(self, axis: int, zero_nyquist: bool) -> np.ndarray:
         n = self.n_per_axis
-        if axis == self.dim - 1:
-            k = 2.0 * np.pi * np.fft.rfftfreq(n, d=self.spacing)
-            nyq_index = n // 2  # last entry of the rfft axis
-        else:
-            k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
-            nyq_index = n // 2
+        freq = np.fft.rfftfreq if axis == self.dim - 1 else np.fft.fftfreq
+        k = 2.0 * np.pi * freq(n, d=self.spacing)
         if zero_nyquist:
-            k = k.copy()
-            k[nyq_index] = 0.0
+            k[n // 2] = 0.0  # Nyquist index in both layouts
         shape = [1] * self.dim
         shape[axis] = k.size
         return k.reshape(shape)
@@ -96,10 +95,9 @@ class Grid:
     @cached_property
     def k_squared(self) -> np.ndarray:
         """|k|^2 in rfftn layout, Nyquist included (even-derivative symbol)."""
-        total = np.zeros(self.rfft_shape)
-        for axis in range(self.dim):
-            total = total + self._axis_wavenumbers(axis, zero_nyquist=False) ** 2
-        return total
+        return sum(
+            self._axis_wavenumbers(axis, zero_nyquist=False) ** 2 for axis in range(self.dim)
+        )
 
     @cached_property
     def deriv_wavenumbers(self) -> tuple[np.ndarray, ...]:
@@ -107,10 +105,6 @@ class Grid:
         return tuple(
             self._axis_wavenumbers(axis, zero_nyquist=True) for axis in range(self.dim)
         )
-
-    @property
-    def rfft_shape(self) -> tuple[int, ...]:
-        return (self.n_per_axis,) * (self.dim - 1) + (self.n_per_axis // 2 + 1,)
 
     @property
     def fft_axes(self) -> tuple[int, ...]:
@@ -192,61 +186,14 @@ def fd_gradient(f: Field) -> tuple[Field, ...]:
 
 
 def h1_seminorm_sq(f: Field) -> float:
-    """Sum over components of the squared L^2 norm of the spectral gradient."""
-    return float(sum(lp_norm(c, 2.0) ** 2 for c in gradient(f)))
+    """Squared L^2 norm of gradient(f), by Parseval on the rfftn half-spectrum.
 
-
-def h1_seminorm_sq_spectral(f: Field) -> float:
-    """Parseval evaluation of the H^1 seminorm; dual route to h1_seminorm_sq."""
+    Interior last-axis columns stand for a conjugate pair and weigh 2; column 0
+    and the Nyquist column weigh 1."""
     g = f.grid
-    fh = np.fft.fftn(f.values)
-    k2 = np.zeros(g.shape)
-    for axis in range(g.dim):
-        k = 2.0 * np.pi * np.fft.fftfreq(g.n_per_axis, d=g.spacing)
-        k = k.copy()
-        k[g.n_per_axis // 2] = 0.0  # match the gradient's Nyquist convention
-        shape = [1] * g.dim
-        shape[axis] = k.size
-        k2 = k2 + k.reshape(shape) ** 2
-    total = float(np.sum(k2 * np.abs(fh) ** 2))
+    fh = np.fft.rfftn(f.values)
+    k2 = sum(k**2 for k in g.deriv_wavenumbers)
+    weight = np.full(k2.shape[-1], 2.0)
+    weight[0] = weight[-1] = 1.0
+    total = float(np.sum(weight * k2 * (fh.real**2 + fh.imag**2)))
     return total * g.cell_volume / g.size
-
-
-def l2_norm_sq_spectral(f: Field) -> float:
-    """Parseval evaluation of the squared L^2 norm."""
-    g = f.grid
-    fh = np.fft.fftn(f.values)
-    return float(np.sum(np.abs(fh) ** 2)) * g.cell_volume / g.size
-
-
-def truncate_above(f: Field, rho: float) -> Field:
-    """Pointwise positive part (f - rho)^+."""
-    return Field(f.grid, np.maximum(f.values - rho, 0.0))
-
-
-def truncate_below(f: Field, rho: float) -> Field:
-    """Pointwise negative-side truncation (f + rho)^- = (-f - rho)^+."""
-    return Field(f.grid, np.maximum(-f.values - rho, 0.0))
-
-
-def hminus1_norm(f: Field) -> float:
-    """Spectral (-Laplacian)^(-1/2) norm of the zero-mean part of f.
-
-    No constant of the continuous dual norm is attached to this quantity; it
-    is provided as a diagnostic on zero-mean fields only, so the mean is
-    projected out before inversion.
-    """
-    g = f.grid
-    vals = f.values - np.mean(f.values)
-    fh = np.fft.fftn(vals)
-    k2 = np.zeros(g.shape)
-    for axis in range(g.dim):
-        k = 2.0 * np.pi * np.fft.fftfreq(g.n_per_axis, d=g.spacing)
-        shape = [1] * g.dim
-        shape[axis] = k.size
-        k2 = k2 + k.reshape(shape) ** 2
-    k2flat = k2.ravel()
-    fhflat = np.abs(fh.ravel()) ** 2
-    nonzero = k2flat > 0.0
-    total = float(np.sum(fhflat[nonzero] / k2flat[nonzero]))
-    return float(np.sqrt(total * g.cell_volume / g.size))

@@ -4,7 +4,8 @@ Kernels are sampled at nearest-image distance on the grid and transformed
 once; convolution is then a pointwise multiply in spectral space scaled by
 cell_volume, so it approximates the integral J*f on the torus.  Even symmetry
 J(x) = J(-x) holds exactly on the grid by construction, which makes the
-multiplier real.
+multiplier real.  convolve_values is the one convolution body; convolve wraps
+it for Fields on the kernel's grid.
 """
 
 from __future__ import annotations
@@ -122,20 +123,13 @@ def build_kernel(
     )
 
 
-def _check_grid(kernel: Kernel, f: Field) -> None:
+def convolve(kernel: Kernel, f: Field) -> Field:
+    """Periodic convolution J*f via the spectral multiplier."""
     if kernel.grid != f.grid:
         raise ValueError(
             f"kernel grid {kernel.grid} does not match field grid {f.grid}"
         )
-
-
-def convolve(kernel: Kernel, f: Field) -> Field:
-    """Periodic convolution J*f via the spectral multiplier."""
-    _check_grid(kernel, f)
-    g = f.grid
-    fh = np.fft.rfftn(f.values)
-    out = irfft(g, kernel.spectral_multiplier * fh) * g.cell_volume
-    return Field(g, out)
+    return Field(f.grid, convolve_values(kernel, f.values))
 
 
 def convolve_values(kernel: Kernel, values: np.ndarray) -> np.ndarray:
@@ -143,15 +137,3 @@ def convolve_values(kernel: Kernel, values: np.ndarray) -> np.ndarray:
     g = kernel.grid
     fh = np.fft.rfftn(values)
     return irfft(g, kernel.spectral_multiplier * fh) * g.cell_volume
-
-
-def convolve_gradient(kernel: Kernel, f: Field) -> tuple[Field, ...]:
-    """Gradient of J*f, i.e. (grad J)*f, component per axis."""
-    _check_grid(kernel, f)
-    g = f.grid
-    fh = np.fft.rfftn(f.values)
-    comps = []
-    for axis in range(g.dim):
-        dh = (1j * g.deriv_wavenumbers[axis]) * kernel.spectral_multiplier * fh
-        comps.append(Field(g, irfft(g, dh) * g.cell_volume))
-    return tuple(comps)

@@ -15,6 +15,8 @@ import numpy as np
 from .grid import Field, Grid
 
 MAGIC = b"NLCH1\x00"
+#: file name of a run's last state, written next to its strided snapshots
+FINAL_SNAPSHOT_NAME = "final.nlch"
 _HEADER = struct.Struct("<6sBIdd")
 
 
@@ -60,14 +62,16 @@ def read_snapshot(path, expected_grid: Grid | None = None) -> tuple[Field, float
     return Field(grid, values), float(t)
 
 
-def read_snapshot_dir(directory) -> list[tuple[float, Field]]:
-    """All *.nlch files in a directory, sorted by their stored time."""
-    paths = sorted(Path(directory).glob("*.nlch"))
+def read_snapshot_dir(directory, expected_grid: Grid | None = None) -> list[tuple[float, Field]]:
+    """The strided *.nlch snapshots of a directory, sorted by stored time.
+    FINAL_SNAPSHOT_NAME is skipped: it repeats the time of a strided snapshot
+    whenever the run ends on its stride, which breaks uniform striding."""
+    paths = [p for p in sorted(Path(directory).glob("*.nlch")) if p.name != FINAL_SNAPSHOT_NAME]
     if not paths:
-        raise SnapshotError(f"no *.nlch snapshots in {directory}")
+        raise SnapshotError(f"no strided *.nlch snapshots in {directory}")
     out = []
     for path in paths:
-        field, t = read_snapshot(path)
+        field, t = read_snapshot(path, expected_grid=expected_grid)
         out.append((t, field))
     out.sort(key=lambda pair: pair[0])
     return out

@@ -6,7 +6,10 @@ import mpmath as mp
 import pytest
 
 from nlch.cli import main
+from nlch.degiorgi import level_set_measures
 from nlch.diagnostics import csv_header
+from nlch.grid import Grid
+from nlch.snapshots import read_snapshot_dir
 
 mp.mp.dps = 50
 
@@ -65,6 +68,16 @@ class TestSimulate:
         assert (tmp_path / "out" / "snapshot_00000000.nlch").exists()
         kv = parsed_kv(capsys.readouterr().out)
         assert kv["steps"] == "50"
+
+    def test_output_dir_is_level_set_input(self, tmp_path):
+        # the last step lands on the snapshot stride, so final.nlch repeats
+        # the time of the last strided snapshot; the loader must skip it
+        cfg = make_config(tmp_path, tmp_path / "out")
+        assert main(["simulate", str(cfg)]) == 0
+        snaps = read_snapshot_dir(tmp_path / "out", expected_grid=Grid(1, 32, 4.0))
+        assert len(snaps) == 6  # steps 0, 10, ..., 50
+        meas = level_set_measures(snaps, delta=0.03, n_max=4)
+        assert meas.stride == pytest.approx(0.03)
 
     def test_golden_csv_header(self):
         assert csv_header() == (

@@ -13,6 +13,8 @@ from nlch import (
     PotentialParams,
     build_kernel,
     derivative,
+    InitialData,
+    StepperConfig,
     energy,
     energy_alt,
     gn_constant_estimate,
@@ -20,10 +22,12 @@ from nlch import (
     mu_linf,
     poincare_ratio,
     poincare_sweep,
+    init_state,
     separation_margin,
+    step,
     value,
 )
-from nlch.diagnostics import TimeSeries
+from nlch.diagnostics import TimeSeries, make_row
 
 from conftest import gaussian_amplitude
 
@@ -218,6 +222,21 @@ class TestRowsAndSeries:
             1.0 - max(abs(row.min_phi), abs(row.max_phi))
         )
         assert row.energy == pytest.approx(row.energy_alt, rel=1e-11)
+
+    def test_make_row_energies_match_a_fresh_evaluation(self, setup):
+        # the row reads the J*phi the state carries; it must be that of the
+        # state's own phi, not of an earlier one
+        grid, kernel, p = setup
+        st = init_state(
+            grid, kernel, p,
+            InitialData(mode="constant", noise_amplitude=0.05, seed=1),
+        )
+        cfg = StepperConfig(dt=3e-3, inner_tol=1e-12)
+        for _ in range(3):
+            st = step(st, cfg, kernel, p)
+        row = make_row(st, kernel, p, 0.0, 0.0)
+        assert row.energy == energy(st.phi, kernel, p)
+        assert row.energy_alt == energy_alt(st.phi, kernel, p)
 
     def test_series_column_roundtrip(self):
         series = TimeSeries()

@@ -14,6 +14,7 @@ from nlch import (
     StepError,
     StepperConfig,
     build_kernel,
+    convolve,
     energy,
     init_state,
     lp_norm,
@@ -129,7 +130,8 @@ class TestStep:
     def test_constant_state_is_exact_fixed_point(self, setup_small):
         grid, kernel, p = setup_small
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7)
-        st = SimState(0.0, Field.constant(grid, 0.3), Field.constant(grid, 0.0), 0.0, 0)
+        phi = Field.constant(grid, 0.3)
+        st = SimState(0.0, phi, Field.constant(grid, 0.0), convolve(kernel, phi), 0.0, 0)
         st2 = step(st, cfg, kernel, p)
         assert np.all(st2.phi.values == 0.3)
         assert np.ptp(st2.mu.values) == 0.0

@@ -1,5 +1,4 @@
-"""Grid/field primitives: quadrature, norms, spectral differentiation,
-truncations."""
+"""Grid/field primitives: quadrature, norms, spectral differentiation."""
 
 import math
 
@@ -12,14 +11,9 @@ from nlch import (
     fd_gradient,
     gradient,
     h1_seminorm_sq,
-    h1_seminorm_sq_spectral,
-    hminus1_norm,
     lp_norm,
     mean,
-    truncate_above,
-    truncate_below,
 )
-from nlch.grid import l2_norm_sq_spectral
 
 
 def random_field(grid, rng, scale=1.0):
@@ -128,9 +122,9 @@ class TestLpNorm:
         for dim in (1, 2):
             g = Grid(dim, 16, 1.5)
             f = random_field(g, rng)
-            assert lp_norm(f, 2.0) ** 2 == pytest.approx(
-                l2_norm_sq_spectral(f), rel=1e-12
-            )
+            spectrum_sq = float(np.sum(np.abs(np.fft.fftn(f.values)) ** 2))
+            parseval = spectrum_sq * g.cell_volume / g.size
+            assert lp_norm(f, 2.0) ** 2 == pytest.approx(parseval, rel=1e-12)
 
 
 class TestGradient:
@@ -184,57 +178,13 @@ class TestH1Seminorm:
         assert h1_seminorm_sq(f) == pytest.approx((2 * np.pi) ** 2 * 0.5, rel=1e-12)
 
     def test_real_space_matches_spectral(self):
+        # Parseval against the real-space gradient route; at n = 4 the
+        # Nyquist columns, weighted 1 and with a zeroed derivative, are a
+        # large share of the spectrum
         rng = np.random.default_rng(5)
-        for dim in (1, 2):
-            g = Grid(dim, 16, 2.0)
-            f = random_field(g, rng)
-            assert h1_seminorm_sq(f) == pytest.approx(
-                h1_seminorm_sq_spectral(f), rel=1e-12
-            )
-
-
-class TestTruncations:
-    def test_vanishing_truncation(self):
-        g = Grid(1, 16, 1.0)
-        f = Field.constant(g, 0.2)
-        assert np.all(truncate_above(f, 0.5).values == 0.0)
-
-    def test_constant_shift(self):
-        g = Grid(1, 16, 1.0)
-        out = truncate_above(Field.constant(g, 0.9), 0.5)
-        assert np.allclose(out.values, 0.4, atol=1e-16)
-
-    def test_matches_pointwise_oracle(self):
-        g = Grid(1, 32, 1.0)
-        rng = np.random.default_rng(6)
-        f = random_field(g, rng)
-        out = truncate_above(f, 0.0)
-        for got, v in zip(out.values, f.values):
-            assert got == max(v, 0.0)
-
-    def test_truncate_below_mirrors_negation(self):
-        g = Grid(1, 32, 1.0)
-        rng = np.random.default_rng(7)
-        f = random_field(g, rng)
-        lo = truncate_below(f, 0.3)
-        mirrored = truncate_above(Field(g, -f.values), 0.3)
-        assert np.all(lo.values == mirrored.values)
-
-    def test_truncated_mass_nonincreasing_in_level(self):
-        g = Grid(1, 64, 2.0)
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            f = random_field(g, rng)
-            rhos = np.sort(rng.uniform(0.0, 1.0, 10))
-            masses = [mean(truncate_above(f, r)) for r in rhos]
-            assert all(m1 >= m2 - 1e-15 for m1, m2 in zip(masses, masses[1:]))
-
-
-class TestDualNorm:
-    def test_single_mode_scaling(self):
-        g = Grid(1, 64, 2.0)
-        x = g.axis_coordinates()
-        k = 2 * np.pi / g.edge_length
-        f = Field(g, np.sin(k * x))
-        # (-Lap)^(-1/2) scales a single mode by 1/k
-        assert hminus1_norm(f) == pytest.approx(lp_norm(f, 2.0) / k, rel=1e-12)
+        for dim in (1, 2, 3):
+            for n in (4, 16):
+                g = Grid(dim, n, 2.0)
+                f = random_field(g, rng)
+                reference = sum(lp_norm(c, 2.0) ** 2 for c in gradient(f))
+                assert h1_seminorm_sq(f) == pytest.approx(reference, rel=1e-12)
