@@ -137,7 +137,7 @@ def _cmd_equilibrium(args) -> int:
     )
     outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    snap_path = outdir / "equilibrium.nlch"
+    snap_path = outdir / snap.EQUILIBRIUM_SNAPSHOT_NAME
     snap.write_snapshot(result.phi_inf, 0.0, snap_path)
     print(f"converged = {str(result.converged).lower()}")
     print(f"iterations = {result.iterations}")

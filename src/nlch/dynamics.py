@@ -7,21 +7,33 @@ implicit, the nonlocal term explicit,
 
     phi^{n+1} - dt * Lap F'(phi^{n+1}) = phi^n - dt * Lap (J*phi^n) =: r.
 
-The implicit system is solved by a stabilized fixed point.  With
-L_m = max(alpha_bar, max_x F''(phi^m)) the update is a constant-coefficient
+The implicit system is a fixed point of the stabilized Picard map g.  With
+L_m = max(alpha_bar, max_x F''(phi^m)) one application is a constant-coefficient
 Helmholtz solve, exact in spectral space:
 
-    (1 + dt L_m |k|^2) phihat^{m+1} = rhat - dt |k|^2 (F'(phi^m) - L_m phi^m)^hat.
+    (1 + dt L_m |k|^2) g(phi^m)^hat = rhat - dt |k|^2 (F'(phi^m) - L_m phi^m)^hat.
 
-Any iterate leaving max|phi| <= 1 - eps_safe has its update halved back to the
-interior (up to 30 times), so the singular entropy is never evaluated outside
-(-1, 1); clamping values would silently corrupt the separation diagnostics.
-If the inner iteration does not converge, dt is halved and the step retried;
-below dt_min the step fails with the last residual.
+Alone it contracts like 1 - min F'' / L_m, which crawls once the separation
+margin is small.  The iteration is therefore Anderson-mixed (type II, Walker &
+Ni 2011): with residuals f_m = g(phi^m) - phi^m and the differences dF, dG of
+the last ANDERSON_DEPTH residuals and Picard images,
 
-The k = 0 mode of the update equals that of phi^n identically, so total mass
-is conserved by construction; the mean is restored after each accepted step
-to absorb transform roundoff.
+    phi^{m+1} = g(phi^m) - dG gamma,   gamma = argmin |f_m - dF gamma|_2,
+
+solved through the normal equations, whose Gram matrix gains one row per
+iteration.  A singular Gram matrix restarts the history.  Every g has the
+k = 0 mode of phi^n and the mixing is affine, so mass is kept by construction.
+
+Any candidate leaving max|phi| <= 1 - eps_safe is halved back toward the
+current iterate (up to MAX_UPDATE_HALVINGS times, else the attempt fails), so
+the singular entropy is never evaluated outside (-1, 1); clamping values would
+silently corrupt the separation diagnostics.  The attempt converges when the
+Picard increment sup|g(phi^m) - phi^m| is at most inner_tol, and returns
+g(phi^m).  The increment is measured before mixing and guarding: a halved
+candidate moves little even where the iterate is parked against the bound and
+far from a solution.  If the inner iteration does not converge, dt is halved
+and the step retried; below dt_min the step fails with the last increment.
+The mean is restored after each accepted step to absorb transform roundoff.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from .kernels import Kernel, convolve_values
 from .snapshots import read_snapshot
 
 MAX_UPDATE_HALVINGS = 30
+ANDERSON_DEPTH = 5
 
 
 class StepError(RuntimeError):
@@ -163,30 +176,61 @@ def _attempt_inner_solve(
 ):
     """One implicit solve at fixed dt.  Returns (values, iters) or (None, residual)."""
     grid = kernel.grid
-    k2 = grid.k_squared
+    dt_k2 = dt * grid.k_squared
     j_symbol = kernel.spectral_multiplier * grid.cell_volume
-    phin_hat = np.fft.rfftn(phi_n)
-    r_hat = phin_hat * (1.0 + dt * k2 * j_symbol)
+    r_hat = np.fft.rfftn(phi_n) * (1.0 + dt_k2 * j_symbol)
+
+    # Anderson history: differences of residuals f = g - phi and of Picard
+    # images g over the last ANDERSON_DEPTH iterations, in ring-buffer slots
+    d_f = np.empty((ANDERSON_DEPTH, phi_n.size))
+    d_g = np.empty_like(d_f)
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    added = 0  # columns added since the last restart
+    f_prev = g_prev = None
 
     bound = 1.0 - cfg.safety_margin
     phi = phi_n
-    last_inc = np.inf
+    amax = float(np.max(np.abs(phi)))
     for it in range(1, cfg.inner_max_iters + 1):
-        amax = float(np.max(np.abs(phi)))
         lam = max(p.alpha_bar, pot.second_derivative(p, amax))
         g_hat = np.fft.rfftn(pot.derivative(p, phi) - lam * phi)
-        cand = irfft(grid, (r_hat - dt * k2 * g_hat) / (1.0 + dt * lam * k2))
+        g_hat *= dt_k2  # in place: (r_hat - dt k^2 g_hat) / (1 + dt lam k^2)
+        np.subtract(r_hat, g_hat, out=g_hat)
+        g_hat /= 1.0 + lam * dt_k2
+        g = irfft(grid, g_hat)
+        f = g - phi
+        residual = float(np.max(np.abs(f)))  # sup norm of the Picard increment
+        cand = g
+        if f_prev is not None and residual > cfg.inner_tol:
+            slot = added % ANDERSON_DEPTH
+            added += 1
+            depth = min(added, ANDERSON_DEPTH)
+            np.subtract(f, f_prev, out=d_f[slot].reshape(f.shape))
+            np.subtract(g, g_prev, out=d_g[slot].reshape(g.shape))
+            row = np.einsum("ij,j->i", d_f[:depth], d_f[slot])
+            gram[slot, :depth] = row
+            gram[:depth, slot] = row
+            rhs = np.einsum("ij,j->i", d_f[:depth], f.reshape(-1))
+            try:
+                gamma = np.linalg.solve(gram[:depth, :depth], rhs)
+            except np.linalg.LinAlgError:
+                added = 0
+            else:
+                cand = g - np.einsum("i,ij->j", gamma, d_g[:depth]).reshape(g.shape)
+        f_prev, g_prev = f, g
+
+        amax_cand = float(np.max(np.abs(cand)))
         halvings = 0
-        while float(np.max(np.abs(cand))) > bound and halvings < MAX_UPDATE_HALVINGS:
+        while not amax_cand <= bound:  # a NaN candidate fails too
+            if halvings == MAX_UPDATE_HALVINGS:
+                return None, residual
             cand = 0.5 * (phi + cand)
+            amax_cand = float(np.max(np.abs(cand)))
             halvings += 1
-        if float(np.max(np.abs(cand))) > bound:
-            return None, last_inc
-        last_inc = float(np.max(np.abs(cand - phi)))
-        phi = cand
-        if last_inc <= cfg.inner_tol:
-            return phi, it
-    return None, last_inc
+        if residual <= cfg.inner_tol:
+            return cand, it
+        phi, amax = cand, amax_cand
+    return None, residual
 
 
 def step(

@@ -1,7 +1,7 @@
 """Logarithmic mixing potential and its closed-form companions.
 
     value(s)             = (a/2) * ((1+s) ln(1+s) + (1-s) ln(1-s))
-    derivative(s)        = (a/2) * ln((1+s)/(1-s))
+    derivative(s)        = (a/2) * ln((1+s)/(1-s)) = a * artanh(s)
     second_derivative(s) = a / (1 - s^2)
     inverse_derivative(w)= tanh(w/a)
 
@@ -79,7 +79,7 @@ def derivative(p: PotentialParams, s):
     """First derivative; odd, strictly increasing, singular at +-1."""
     arr, scalar = _as_array(s)
     _check_open_interval(arr)
-    out = 0.5 * p.alpha_bar * (np.log1p(arr) - np.log1p(-arr))
+    out = p.alpha_bar * np.arctanh(arr)
     return _maybe_scalar(out, scalar)
 
 

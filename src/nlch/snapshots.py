@@ -17,6 +17,9 @@ from .grid import Field, Grid
 MAGIC = b"NLCH1\x00"
 #: file name of a run's last state, written next to its strided snapshots
 FINAL_SNAPSHOT_NAME = "final.nlch"
+#: file name of the stationary state `nlch equilibrium` writes (stored at t = 0)
+EQUILIBRIUM_SNAPSHOT_NAME = "equilibrium.nlch"
+_NOT_STRIDED = (FINAL_SNAPSHOT_NAME, EQUILIBRIUM_SNAPSHOT_NAME)
 _HEADER = struct.Struct("<6sBIdd")
 
 
@@ -64,9 +67,10 @@ def read_snapshot(path, expected_grid: Grid | None = None) -> tuple[Field, float
 
 def read_snapshot_dir(directory, expected_grid: Grid | None = None) -> list[tuple[float, Field]]:
     """The strided *.nlch snapshots of a directory, sorted by stored time.
-    FINAL_SNAPSHOT_NAME is skipped: it repeats the time of a strided snapshot
-    whenever the run ends on its stride, which breaks uniform striding."""
-    paths = [p for p in sorted(Path(directory).glob("*.nlch")) if p.name != FINAL_SNAPSHOT_NAME]
+    FINAL_SNAPSHOT_NAME and EQUILIBRIUM_SNAPSHOT_NAME are skipped: the first
+    repeats the time of a strided snapshot whenever the run ends on its stride,
+    the second is stored at t = 0; either breaks uniform striding."""
+    paths = [p for p in sorted(Path(directory).glob("*.nlch")) if p.name not in _NOT_STRIDED]
     if not paths:
         raise SnapshotError(f"no strided *.nlch snapshots in {directory}")
     out = []

@@ -79,6 +79,18 @@ class TestSimulate:
         meas = level_set_measures(snaps, delta=0.03, n_max=4)
         assert meas.stride == pytest.approx(0.03)
 
+    def test_output_dir_stays_level_set_input_after_equilibrium(self, tmp_path):
+        # equilibrium.nlch is stored at t = 0 in the same directory; a second
+        # t = 0 snapshot would break uniform striding unless the loader skips it
+        cfg = make_config(tmp_path, tmp_path / "out", t_end=0.6)
+        assert main(["simulate", str(cfg)]) == 0
+        assert main(["equilibrium", str(cfg)]) == 0
+        assert (tmp_path / "out" / "equilibrium.nlch").exists()
+        snaps = read_snapshot_dir(tmp_path / "out", expected_grid=Grid(1, 32, 4.0))
+        assert len(snaps) == 21  # steps 0, 10, ..., 200
+        meas = level_set_measures(snaps, delta=0.03, n_max=8)
+        assert meas.stride == pytest.approx(0.03)
+
     def test_golden_csv_header(self):
         assert csv_header() == (
             "t,mass,energy,energy_alt,dissipation_accum,energy_residual,"

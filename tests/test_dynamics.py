@@ -24,7 +24,9 @@ from nlch import (
     step,
     write_snapshot,
 )
-from nlch.dynamics import SimState
+import nlch.potential as potential_module
+from nlch.dynamics import SimState, _attempt_inner_solve
+from nlch.grid import irfft
 
 from conftest import gaussian_amplitude
 
@@ -196,6 +198,103 @@ class TestStep:
         assert st2.dissipation_accum > 0.0
         assert st2.t == pytest.approx(cfg.dt)
         assert st2.step_count == 1
+
+
+def picard_reference(phi_n, dt, kernel, p, tol=1e-14, max_iters=20000):
+    """Plain stabilized Picard iteration for the implicit step, run to a
+    sup-norm increment of tol: the map the mixed solver accelerates."""
+    grid = kernel.grid
+    k2 = grid.k_squared
+    j_symbol = kernel.spectral_multiplier * grid.cell_volume
+    r_hat = np.fft.rfftn(phi_n) * (1.0 + dt * k2 * j_symbol)
+    phi = phi_n
+    for _ in range(max_iters):
+        lam = max(p.alpha_bar, potential_module.second_derivative(p, np.max(np.abs(phi))))
+        g_hat = np.fft.rfftn(potential_module.derivative(p, phi) - lam * phi)
+        nxt = irfft(grid, (r_hat - dt * k2 * g_hat) / (1.0 + dt * lam * k2))
+        inc = np.max(np.abs(nxt - phi))
+        phi = nxt
+        if inc <= tol:
+            return phi
+    raise AssertionError(f"reference Picard stalled at increment {inc:.3e}")
+
+
+def strong_segregation(grid):
+    """Gaussian kernel with integral 4 against alpha_bar = 1: deep quench."""
+    kernel = build_kernel(
+        "gaussian", grid, amplitude=gaussian_amplitude(4.0, 0.3, grid.dim), width=0.3
+    )
+    return kernel, PotentialParams(1.0, 2.0)
+
+
+class TestMixedInnerSolve:
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+    def test_matches_converged_picard_near_separation(self, dim, n):
+        grid = Grid(dim, n, 4.0)
+        kernel, p = strong_segregation(grid)
+        st = init_state(
+            grid, kernel, p,
+            InitialData(mode="tanh", m=0.0, noise_amplitude=0.97, delta0=0.02),
+        )
+        assert 1.0 - lp_norm(st.phi, np.inf) < 0.05  # near the pure phases
+        cfg = StepperConfig(dt=1e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        solved, iters = _attempt_inner_solve(st.phi.values, cfg.dt, cfg, kernel, p)
+        assert solved is not None
+        ref = picard_reference(st.phi.values, cfg.dt, kernel, p)
+        assert np.max(np.abs(solved - ref)) <= 1e-9
+
+    def test_near_bound_stiff_iterates_stay_inside(self, monkeypatch):
+        grid = Grid(1, 64, 4.0)
+        kernel, p = strong_segregation(grid)
+        st = init_state(
+            grid, kernel, p,
+            InitialData(mode="tanh", m=0.0, noise_amplitude=0.999, delta0=1e-3),
+        )
+        assert 1.0 - lp_norm(st.phi, np.inf) < 2e-3
+        cfg = StepperConfig(dt=5e-2, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        evaluated = []
+        derivative = potential_module.derivative
+
+        def recording_derivative(pp, s):
+            evaluated.append(float(np.max(np.abs(s))))
+            return derivative(pp, s)
+
+        monkeypatch.setattr(potential_module, "derivative", recording_derivative)
+        st2 = step(st, cfg, kernel, p)  # a PotentialDomainError fails the test
+        assert max(evaluated) <= 1.0 - cfg.safety_margin
+        assert lp_norm(st2.phi, np.inf) <= 1.0 - cfg.safety_margin
+        # a converged step from a state this close to the pure phases keeps a
+        # physical margin; an iterate parked against the bound is no solution
+        assert 1.0 - lp_norm(st2.phi, np.inf) > 1e-3
+
+    def test_mean_preserved_before_restore(self):
+        grid = Grid(2, 32, 4.0)
+        kernel, p = strong_segregation(grid)
+        st = init_state(
+            grid, kernel, p,
+            InitialData(mode="constant", m=0.3, noise_amplitude=0.2, seed=11),
+        )
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        solved, iters = _attempt_inner_solve(st.phi.values, cfg.dt, cfg, kernel, p)
+        assert solved is not None and iters > 1
+        assert abs(solved.mean() - st.phi.values.mean()) <= 1e-14
+
+    def test_strong_segregation_onset_needs_no_dt_halving(self):
+        # the benchmark's segregation scenario, through the start of the
+        # stiff phase at t ~ 0.445 where stabilized Picard halved dt to 9.4e-5
+        grid = Grid(1, 128, 4.0)
+        kernel, p = strong_segregation(grid)
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        st = init_state(
+            grid, kernel, p,
+            InitialData(mode="constant", m=0.0, noise_amplitude=0.05, seed=1, delta0=0.01),
+        )
+        t_end = 0.46
+        while t_end - st.t > 1e-9 * cfg.dt:
+            requested = min(cfg.dt, t_end - st.t)
+            st = step(st, cfg, kernel, p, dt=requested)
+            assert st.last_dt == requested, f"dt halved at t={st.t}"
+        assert st.step_count == 154
 
 
 class TestRun:

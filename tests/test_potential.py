@@ -119,6 +119,31 @@ class TestDerivatives:
         assert np.all(second_derivative(p1, s) == second_derivative(p1, -s))
 
 
+class TestDerivativeOracle:
+    """F' = a*artanh(s) against a 40-digit evaluation at the same float s."""
+
+    @staticmethod
+    def assert_matches_oracle(p, s):
+        got = derivative(p, s)
+        for si, gi in zip(s, got):
+            oracle = float(p.alpha_bar * mp.atanh(mp.mpf(float(si))))
+            assert abs(gi - oracle) <= 1e-14 * abs(oracle), (si, gi, oracle)
+
+    def test_near_the_pure_phases(self):
+        p = PotentialParams(1.7, 2.0)
+        # 1 - s from the separation floor (one ulp in from 1e-15) up to 1e-1
+        gaps = np.concatenate(([2e-15], np.logspace(-14, -1, 40)))
+        s = 1.0 - gaps
+        assert np.all(1.0 - s >= 1e-15)
+        self.assert_matches_oracle(p, s)
+        self.assert_matches_oracle(p, -s)
+
+    def test_bulk(self):
+        p = PotentialParams(1.7, 2.0)
+        s = np.concatenate((np.linspace(-0.9, 0.9, 37), [1e-300, -1e-8, 3e-5]))
+        self.assert_matches_oracle(p, s)
+
+
 class TestInverseDerivative:
     def test_origin(self, p1):
         assert inverse_derivative(p1, 0.0) == 0.0
