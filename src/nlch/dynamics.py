@@ -34,6 +34,24 @@ candidate moves little even where the iterate is parked against the bound and
 far from a solution.  If the inner iteration does not converge, dt is halved
 and the step retried; below dt_min the step fails with the last increment.
 The mean is restored after each accepted step to absorb transform roundoff.
+
+Warm start.  Strict separation makes the trajectory smooth in time, so each
+solve starts from the Lagrange extrapolant at t* = t + dt through the current
+state and up to EXTRAPOLATION_ORDER earlier accepted states (kept on the state
+as `history`, newest first), which is O(dt^4) from the answer where phi^n is
+O(dt) from it.  With nodes t_j the weights are
+
+    w_j = prod_{i != j} (t* - t_i) / (t_j - t_i),   sum_j w_j = 1,
+
+so unequal steps (dt halvings, the last step clipped to t_end) need no special
+case and the mean is kept.  The guess only moves where the iteration starts:
+the fixed point, the stopping rule and the guard are those above.  Two cases
+start from phi^n instead.  A guess outside max|phi| <= 1 - eps_safe would put
+F' out of bounds.  And when the last step moved no more than the solve noise
+the extrapolant amplifies, sup|phi^n - phi^{n-1}| <= Lambda * inner_tol with
+the Lebesgue constant Lambda = sum_j |w_j| (15 for cubic at equal dt), the
+extrapolant is noise: near equilibrium it would inject ~Lambda * inner_tol of
+it into every step.
 """
 
 from __future__ import annotations
@@ -50,6 +68,7 @@ from .snapshots import read_snapshot
 
 MAX_UPDATE_HALVINGS = 30
 ANDERSON_DEPTH = 5
+EXTRAPOLATION_ORDER = 3
 
 
 class StepError(RuntimeError):
@@ -120,6 +139,9 @@ class SimState:
     step_count: int
     last_inner_iters: int = 0
     last_dt: float = 0.0
+    # (t, phi values) of up to EXTRAPOLATION_ORDER earlier accepted states,
+    # newest first: the warm start's extra nodes
+    history: tuple[tuple[float, np.ndarray], ...] = ()
 
 
 def _tanh_profile(grid: Grid, width: float) -> np.ndarray:
@@ -173,8 +195,10 @@ def _attempt_inner_solve(
     cfg: StepperConfig,
     kernel: Kernel,
     p: pot.PotentialParams,
+    guess: np.ndarray | None = None,
 ):
-    """One implicit solve at fixed dt.  Returns (values, iters) or (None, residual)."""
+    """One implicit solve at fixed dt, started at guess (default phi_n).
+    Returns (values, iters) or (None, residual)."""
     grid = kernel.grid
     dt_k2 = dt * grid.k_squared
     j_symbol = kernel.spectral_multiplier * grid.cell_volume
@@ -189,7 +213,7 @@ def _attempt_inner_solve(
     f_prev = g_prev = None
 
     bound = 1.0 - cfg.safety_margin
-    phi = phi_n
+    phi = phi_n if guess is None else guess
     amax = float(np.max(np.abs(phi)))
     for it in range(1, cfg.inner_max_iters + 1):
         lam = max(p.alpha_bar, pot.second_derivative(p, amax))
@@ -233,6 +257,37 @@ def _attempt_inner_solve(
     return None, residual
 
 
+def _lagrange_weights(nodes: np.ndarray, t_star: float) -> np.ndarray:
+    """Weights w_j with sum_j w_j f(t_j) = P(t_star) for the interpolating
+    polynomial P of degree len(nodes) - 1."""
+    w = np.ones(len(nodes))
+    for j, t_j in enumerate(nodes):
+        for i, t_i in enumerate(nodes):
+            if i != j:
+                w[j] *= (t_star - t_i) / (t_j - t_i)
+    return w
+
+
+def _warm_start(
+    nodes: tuple[tuple[float, np.ndarray], ...], t_star: float, cfg: StepperConfig
+) -> np.ndarray | None:
+    """The extrapolant at t_star through nodes (current state first), or None
+    to start from phi^n: too few nodes, a last move sup|phi^n - phi^{n-1}|
+    within the noise the weights amplify, or a guess outside the bound."""
+    if len(nodes) < 2:
+        return None
+    w = _lagrange_weights(np.array([t for t, _ in nodes]), t_star)
+    last_move = float(np.max(np.abs(nodes[0][1] - nodes[1][1])))
+    if last_move <= float(np.sum(np.abs(w))) * cfg.inner_tol:
+        return None
+    guess = w[0] * nodes[0][1]
+    for w_j, (_, values) in zip(w[1:], nodes[1:]):
+        guess += w_j * values
+    if not float(np.max(np.abs(guess))) <= 1.0 - cfg.safety_margin:
+        return None
+    return guess
+
+
 def step(
     state: SimState,
     cfg: StepperConfig,
@@ -243,9 +298,11 @@ def step(
     """Advance one accepted time step, halving dt on inner-solver failure."""
     dt_try = float(cfg.dt if dt is None else dt)
     phi_n = state.phi.values
+    nodes = ((state.t, phi_n),) + state.history
     last_residual = np.inf
     while True:
-        solved, info = _attempt_inner_solve(phi_n, dt_try, cfg, kernel, p)
+        guess = _warm_start(nodes, state.t + dt_try, cfg)
+        solved, info = _attempt_inner_solve(phi_n, dt_try, cfg, kernel, p, guess)
         if solved is not None:
             iters = info
             break
@@ -271,6 +328,7 @@ def step(
         step_count=state.step_count + 1,
         last_inner_iters=iters,
         last_dt=dt_try,
+        history=nodes[:EXTRAPOLATION_ORDER],
     )
 
 

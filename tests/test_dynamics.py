@@ -1,5 +1,6 @@
 """Convex-splitting stepper: conservation, stability, interior bound, driver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,8 +25,15 @@ from nlch import (
     step,
     write_snapshot,
 )
+import nlch.dynamics as dynamics_module
 import nlch.potential as potential_module
-from nlch.dynamics import SimState, _attempt_inner_solve
+from nlch.dynamics import (
+    EXTRAPOLATION_ORDER,
+    SimState,
+    _attempt_inner_solve,
+    _lagrange_weights,
+    _warm_start,
+)
 from nlch.grid import irfft
 
 from conftest import gaussian_amplitude
@@ -295,6 +303,166 @@ class TestMixedInnerSolve:
             st = step(st, cfg, kernel, p, dt=requested)
             assert st.last_dt == requested, f"dt halved at t={st.t}"
         assert st.step_count == 154
+
+
+def count_attempts(monkeypatch):
+    """Wrap the inner solve; the returned dict counts failed attempts and
+    records, per attempt, whether it got a warm-start guess."""
+    counts = {"rejected": 0, "warm": []}
+    attempt = dynamics_module._attempt_inner_solve
+
+    def counting(phi_n, dt, cfg, kernel, p, guess=None):
+        solved, info = attempt(phi_n, dt, cfg, kernel, p, guess)
+        counts["rejected"] += solved is None
+        counts["warm"].append(guess is not None)
+        return solved, info
+
+    monkeypatch.setattr(dynamics_module, "_attempt_inner_solve", counting)
+    return counts
+
+
+def mid_run_state(grid, kernel, p, cfg, steps):
+    st = init_state(
+        grid, kernel, p,
+        InitialData(mode="constant", m=0.1, noise_amplitude=0.05, seed=3),
+    )
+    for _ in range(steps):
+        st = step(st, cfg, kernel, p)
+    return st
+
+
+class TestWarmStart:
+    def test_extrapolant_is_exact_on_cubics_at_unequal_spacing(self):
+        # a halving, a full step, and a last step clipped to 7e-4
+        times = np.array([0.1, 0.0985, 0.097, 0.094])
+        t_star = 0.1 + 7e-4
+        x = np.linspace(0.0, 1.0, 16)
+        coeffs = [0.1 * np.sin(2 * np.pi * x), 0.3 * x, -0.5 + x**2, 0.7 * np.cos(x)]
+
+        def f(t):
+            return sum(c * t**k for k, c in enumerate(coeffs))
+
+        w = _lagrange_weights(times, t_star)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12)
+        guess = _warm_start(tuple((t, f(t)) for t in times), t_star, cfg)
+        assert np.max(np.abs(guess - f(t_star))) <= 1e-13
+        assert np.max(np.abs(sum(w_j * f(t) for w_j, t in zip(w, times)) - f(t_star))) <= 1e-13
+
+    def test_lebesgue_gate_at_equal_steps(self):
+        cfg = StepperConfig(dt=1e-2, dt_min=1e-7, inner_tol=1e-10)
+        w = _lagrange_weights(np.array([0.0, -0.01, -0.02, -0.03]), 0.01)
+        assert np.allclose(w, [4.0, -6.0, 4.0, -1.0])  # Lambda = 15
+
+        def nodes(move):
+            return tuple((t, np.full(8, 0.2 + move * t / 0.01)) for t in (0.0, -0.01, -0.02, -0.03))
+
+        assert _warm_start(nodes(14 * cfg.inner_tol), 0.01, cfg) is None
+        assert _warm_start(nodes(16 * cfg.inner_tol), 0.01, cfg) is not None
+        assert _warm_start(nodes(1.0)[:1], 0.01, cfg) is None  # cold start
+
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+    def test_step_with_history_matches_cold_start(self, dim, n):
+        grid = Grid(dim, n, 4.0)
+        kernel, p = strong_segregation(grid)
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        st = mid_run_state(grid, kernel, p, cfg, 30)
+        assert len(st.history) == EXTRAPOLATION_ORDER
+        warm = step(st, cfg, kernel, p)
+        cold = step(dataclasses.replace(st, history=()), cfg, kernel, p)
+        assert np.max(np.abs(warm.phi.values - cold.phi.values)) <= 1e-9
+        assert warm.last_inner_iters < cold.last_inner_iters
+        assert warm.history[0][1] is st.phi.values  # a reference, not a copy
+        assert [t for t, _ in warm.history] == [st.t] + [t for t, _ in st.history[:-1]]
+
+    def test_move_below_lebesgue_noise_starts_from_phi_n(self, setup_small, monkeypatch):
+        grid, kernel, p = setup_small
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=400)
+        st = mid_run_state(grid, kernel, p, cfg, 10)
+        counts = count_attempts(monkeypatch)
+        cos = np.cos(2 * np.pi * grid.coordinate_mesh()[0] / grid.edge_length)
+
+        def moved_by(size):
+            return dataclasses.replace(st, history=tuple(
+                (st.t - k * cfg.dt, st.phi.values - k * size * cos) for k in (1, 2, 3)
+            ))
+
+        # earlier states within Lambda * inner_tol = 1.5e-11: the extrapolant is noise
+        warm = step(moved_by(1e-11), cfg, kernel, p)
+        cold = step(dataclasses.replace(st, history=()), cfg, kernel, p)
+        assert counts["warm"] == [False, False]
+        assert warm.last_inner_iters == cold.last_inner_iters
+        assert np.array_equal(warm.phi.values, cold.phi.values)
+        step(moved_by(2e-11), cfg, kernel, p)
+        assert counts["warm"][-1]
+
+    def test_out_of_bound_extrapolant_falls_back(self, monkeypatch):
+        grid = Grid(1, 64, 4.0)
+        kernel, p = strong_segregation(grid)
+        st = init_state(
+            grid, kernel, p,
+            InitialData(mode="tanh", m=0.0, noise_amplitude=0.9, delta0=0.05),
+        )
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        # linear extrapolation to 4/3 of phi^n: max|guess| ~ 1.2
+        steep = dataclasses.replace(
+            st, t=0.5, history=((0.5 - cfg.dt, 0.25 * st.phi.values),)
+        )
+        assert _warm_start(((steep.t, st.phi.values),) + steep.history, 0.5 + cfg.dt, cfg) is None
+        evaluated = []
+        derivative = potential_module.derivative
+
+        def recording_derivative(pp, s):
+            evaluated.append(float(np.max(np.abs(s))))
+            return derivative(pp, s)
+
+        monkeypatch.setattr(potential_module, "derivative", recording_derivative)
+        warm = step(steep, cfg, kernel, p)  # a PotentialDomainError fails the test
+        cold = step(dataclasses.replace(steep, history=()), cfg, kernel, p)
+        assert max(evaluated) <= 1.0 - cfg.safety_margin
+        assert np.array_equal(warm.phi.values, cold.phi.values)
+
+    def test_strong_segregation_stiff_phase_retries(self, monkeypatch):
+        # the benchmark's segregation physics into the stiff phase, where
+        # from phi^n the solve retried 541 attempts at halved dt up to t = 1
+        grid = Grid(1, 128, 4.0)
+        kernel, p = strong_segregation(grid)
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        st = init_state(
+            grid, kernel, p,
+            InitialData(mode="constant", m=0.0, noise_amplitude=0.05, seed=1, delta0=0.01),
+        )
+        counts = count_attempts(monkeypatch)
+        t_end = 1.0
+        while t_end - st.t > 1e-9 * cfg.dt:
+            st = step(st, cfg, kernel, p, dt=min(cfg.dt, t_end - st.t))
+        assert counts["rejected"] < 60
+        assert len(counts["warm"]) == st.step_count + counts["rejected"]
+
+    def test_restart_starts_cold_and_clipped_run_stays_monitored(self, setup_small, tmp_path):
+        grid, kernel, p = setup_small
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=400)
+        for initial in (
+            InitialData(mode="constant", m=0.0, noise_amplitude=0.05, seed=4),
+            InitialData(mode="tanh", m=0.0, noise_amplitude=0.8),
+        ):
+            assert init_state(grid, kernel, p, initial).history == ()
+        st = mid_run_state(grid, kernel, p, cfg, 40)
+        path = tmp_path / "mid.nlch"
+        write_snapshot(st.phi, st.t, path)
+        restarted = init_state(
+            grid, kernel, p, InitialData(mode="snapshot", snapshot_path=str(path))
+        )
+        assert restarted.history == ()
+        # 0.0505 = 16 x 3e-3 + 2.5e-3: the order ramps up, then a clipped step
+        out, series = run(
+            restarted, 0.0505, cfg, kernel, p,
+            monitors=standard_monitors(mean(restarted.phi), cfg),
+        )
+        assert out.step_count == 17
+        assert out.last_dt == pytest.approx(2.5e-3)
+        assert len(out.history) == EXTRAPOLATION_ORDER
+        assert series.rows[-1].t == pytest.approx(0.0505)
 
 
 class TestRun:
