@@ -52,18 +52,32 @@ the extrapolant amplifies, sup|phi^n - phi^{n-1}| <= Lambda * inner_tol with
 the Lebesgue constant Lambda = sum_j |w_j| (15 for cubic at equal dt), the
 extrapolant is noise: near equilibrium it would inject ~Lambda * inner_tol of
 it into every step.
+
+Scratch.  step runs out of one private workspace per grid (lru-cached on the
+Grid, up to four grids), which every attempt of every step overwrites: the
+per-attempt dt |k|^2 and Helmholtz symbols, rhat and the spectral iterate,
+the F' and Picard buffers, the alternating residual, image and candidate
+arrays, the Anderson ring with its Gram matrix, and the warm-start guess.
+FFTs and ufuncs write into it through out=, in the same operations and order
+as the expression forms, so results are bit-identical to allocating ones.
+Nothing that outlives a call is a view of it: phi, mu, J*phi, phi_hat and
+the history entries of a returned state are fresh arrays, and so is a solved
+attempt.  The state carries phi_hat = rfftn(phi), which J*phi is built from
+and the next step's rhat reuses.  Because the workspace is shared, step is
+not reentrant: do not step states of one grid from several threads at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import potential as pot
 from .diagnostics import DiagnosticsRow, TimeSeries, energy_pair, make_row
 from .grid import Field, Grid, h1_seminorm_sq, irfft
-from .kernels import Kernel, convolve_values
+from .kernels import Kernel, convolve_spectrum
 from .snapshots import read_snapshot
 
 MAX_UPDATE_HALVINGS = 30
@@ -135,6 +149,7 @@ class SimState:
     phi: Field
     mu: Field
     j_phi: Field  # J*phi, the one convolution of this state
+    phi_hat: np.ndarray  # rfftn(phi), read-only: J*phi and the next step's rhat
     dissipation_accum: float
     step_count: int
     last_inner_iters: int = 0
@@ -155,10 +170,49 @@ def _tanh_profile(grid: Grid, width: float) -> np.ndarray:
     )
 
 
-def _chemical_potential(phi: Field, kernel: Kernel, p: pot.PotentialParams) -> tuple[Field, Field]:
-    """mu = F'(phi) - J*phi, returned with the J*phi it is built from."""
-    j_phi = convolve_values(kernel, phi.values)
-    return Field(phi.grid, pot.derivative(p, phi.values) - j_phi), Field(phi.grid, j_phi)
+class _Workspace:
+    """Scratch arrays of one grid: every attempt of every step overwrites
+    them, and nothing a call returns is a view of them."""
+
+    def __init__(self, grid: Grid) -> None:
+        spectral = grid.k_squared.shape
+        self.dt_k2 = np.empty(spectral)
+        self.helmholtz = np.empty(spectral)  # 1 + dt k^2 J^, then 1 + dt lam k^2
+        self.r_hat = np.empty(spectral, dtype=complex)
+        self.g_hat = np.empty(spectral, dtype=complex)
+        self.work = np.empty(grid.shape)  # F'(phi) - lam phi
+        self.tmp = np.empty(grid.shape)
+        self.guess = np.empty(grid.shape)
+        # iteration parity picks f, g; (f, g) of the other parity are the last
+        self.f = (np.empty(grid.shape), np.empty(grid.shape))
+        self.g = (np.empty(grid.shape), np.empty(grid.shape))
+        # mixed or halved candidates, alternating so the current iterate survives
+        self.cand = (np.empty(grid.shape), np.empty(grid.shape))
+        self.d_f = np.empty((ANDERSON_DEPTH, grid.size))
+        self.d_g = np.empty_like(self.d_f)
+        self.gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+
+
+@lru_cache(maxsize=4)
+def _workspace(grid: Grid) -> _Workspace:
+    return _Workspace(grid)
+
+
+def _sup(a: np.ndarray) -> float:
+    """max|a| without the |a| temporary."""
+    return max(float(a.max()), -float(a.min()))
+
+
+def _chemical_potential(
+    phi: Field, kernel: Kernel, p: pot.PotentialParams
+) -> tuple[Field, Field, np.ndarray]:
+    """mu = F'(phi) - J*phi, returned with the J*phi it is built from and the
+    read-only spectrum of phi that J*phi came from."""
+    phi_hat = np.fft.rfftn(phi.values)
+    phi_hat.setflags(write=False)
+    j_phi = convolve_spectrum(kernel, phi_hat)
+    f_prime = pot.derivative(p, phi.values, out=_workspace(phi.grid).work)
+    return Field(phi.grid, f_prime - j_phi), Field(phi.grid, j_phi), phi_hat
 
 
 def init_state(
@@ -185,45 +239,54 @@ def init_state(
             f"{1.0 - initial.delta0}"
         )
     phi = Field(grid, vals)
-    mu, j_phi = _chemical_potential(phi, kernel, p)
-    return SimState(t=0.0, phi=phi, mu=mu, j_phi=j_phi, dissipation_accum=0.0, step_count=0)
+    mu, j_phi, phi_hat = _chemical_potential(phi, kernel, p)
+    return SimState(
+        t=0.0, phi=phi, mu=mu, j_phi=j_phi, phi_hat=phi_hat, dissipation_accum=0.0, step_count=0
+    )
 
 
 def _attempt_inner_solve(
-    phi_n: np.ndarray,
+    state: SimState,
     dt: float,
     cfg: StepperConfig,
     kernel: Kernel,
     p: pot.PotentialParams,
     guess: np.ndarray | None = None,
 ):
-    """One implicit solve at fixed dt, started at guess (default phi_n).
-    Returns (values, iters) or (None, residual)."""
+    """One implicit solve from state at fixed dt, started at guess (default
+    phi^n).  Returns (values, iters) with fresh values, or (None, residual)."""
     grid = kernel.grid
-    dt_k2 = dt * grid.k_squared
-    j_symbol = kernel.spectral_multiplier * grid.cell_volume
-    r_hat = np.fft.rfftn(phi_n) * (1.0 + dt_k2 * j_symbol)
+    ws = _workspace(grid)
+    dt_k2 = np.multiply(dt, grid.k_squared, out=ws.dt_k2)
+    helmholtz = np.multiply(kernel.spectral_multiplier, grid.cell_volume, out=ws.helmholtz)
+    helmholtz *= dt_k2
+    helmholtz += 1.0
+    r_hat = np.multiply(state.phi_hat, helmholtz, out=ws.r_hat)
+    g_hat = ws.g_hat
 
     # Anderson history: differences of residuals f = g - phi and of Picard
     # images g over the last ANDERSON_DEPTH iterations, in ring-buffer slots
-    d_f = np.empty((ANDERSON_DEPTH, phi_n.size))
-    d_g = np.empty_like(d_f)
-    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))
+    d_f, d_g, gram = ws.d_f, ws.d_g, ws.gram
     added = 0  # columns added since the last restart
     f_prev = g_prev = None
 
     bound = 1.0 - cfg.safety_margin
-    phi = phi_n if guess is None else guess
-    amax = float(np.max(np.abs(phi)))
+    phi = state.phi.values if guess is None else guess
+    amax = _sup(phi)
     for it in range(1, cfg.inner_max_iters + 1):
         lam = max(p.alpha_bar, pot.second_derivative(p, amax))
-        g_hat = np.fft.rfftn(pot.derivative(p, phi) - lam * phi)
+        work = pot.derivative(p, phi, out=ws.work)
+        np.subtract(work, np.multiply(lam, phi, out=ws.tmp), out=work)
+        np.fft.rfftn(work, out=g_hat)
         g_hat *= dt_k2  # in place: (r_hat - dt k^2 g_hat) / (1 + dt lam k^2)
         np.subtract(r_hat, g_hat, out=g_hat)
-        g_hat /= 1.0 + lam * dt_k2
-        g = irfft(grid, g_hat)
-        f = g - phi
-        residual = float(np.max(np.abs(f)))  # sup norm of the Picard increment
+        np.multiply(lam, dt_k2, out=helmholtz)
+        helmholtz += 1.0
+        g_hat /= helmholtz
+        g = irfft(grid, g_hat, out=ws.g[it % 2])
+        f = np.subtract(g, phi, out=ws.f[it % 2])
+        residual = _sup(f)  # sup norm of the Picard increment
+        spare = ws.cand[1] if phi is ws.cand[0] else ws.cand[0]
         cand = g
         if f_prev is not None and residual > cfg.inner_tol:
             slot = added % ANDERSON_DEPTH
@@ -240,19 +303,22 @@ def _attempt_inner_solve(
             except np.linalg.LinAlgError:
                 added = 0
             else:
-                cand = g - np.einsum("i,ij->j", gamma, d_g[:depth]).reshape(g.shape)
+                cand = spare
+                np.einsum("i,ij->j", gamma, d_g[:depth], out=cand.reshape(-1))
+                np.subtract(g, cand, out=cand)
         f_prev, g_prev = f, g
 
-        amax_cand = float(np.max(np.abs(cand)))
+        amax_cand = _sup(cand)
         halvings = 0
         while not amax_cand <= bound:  # a NaN candidate fails too
             if halvings == MAX_UPDATE_HALVINGS:
                 return None, residual
-            cand = 0.5 * (phi + cand)
-            amax_cand = float(np.max(np.abs(cand)))
+            cand = np.add(phi, cand, out=spare)
+            cand *= 0.5
+            amax_cand = _sup(cand)
             halvings += 1
         if residual <= cfg.inner_tol:
-            return cand, it
+            return cand.copy(), it
         phi, amax = cand, amax_cand
     return None, residual
 
@@ -269,21 +335,26 @@ def _lagrange_weights(nodes: np.ndarray, t_star: float) -> np.ndarray:
 
 
 def _warm_start(
-    nodes: tuple[tuple[float, np.ndarray], ...], t_star: float, cfg: StepperConfig
+    nodes: tuple[tuple[float, np.ndarray], ...],
+    t_star: float,
+    cfg: StepperConfig,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """The extrapolant at t_star through nodes (current state first), or None
     to start from phi^n: too few nodes, a last move sup|phi^n - phi^{n-1}|
-    within the noise the weights amplify, or a guess outside the bound."""
+    within the noise the weights amplify, or a guess outside the bound.  The
+    guess is written into out and tmp is scratch, when given."""
     if len(nodes) < 2:
         return None
     w = _lagrange_weights(np.array([t for t, _ in nodes]), t_star)
-    last_move = float(np.max(np.abs(nodes[0][1] - nodes[1][1])))
+    last_move = _sup(np.subtract(nodes[0][1], nodes[1][1], out=tmp))
     if last_move <= float(np.sum(np.abs(w))) * cfg.inner_tol:
         return None
-    guess = w[0] * nodes[0][1]
+    guess = np.multiply(w[0], nodes[0][1], out=out)
     for w_j, (_, values) in zip(w[1:], nodes[1:]):
-        guess += w_j * values
-    if not float(np.max(np.abs(guess))) <= 1.0 - cfg.safety_margin:
+        guess += np.multiply(w_j, values, out=tmp)
+    if not _sup(guess) <= 1.0 - cfg.safety_margin:
         return None
     return guess
 
@@ -299,10 +370,11 @@ def step(
     dt_try = float(cfg.dt if dt is None else dt)
     phi_n = state.phi.values
     nodes = ((state.t, phi_n),) + state.history
+    ws = _workspace(state.phi.grid)
     last_residual = np.inf
     while True:
-        guess = _warm_start(nodes, state.t + dt_try, cfg)
-        solved, info = _attempt_inner_solve(phi_n, dt_try, cfg, kernel, p, guess)
+        guess = _warm_start(nodes, state.t + dt_try, cfg, out=ws.guess, tmp=ws.tmp)
+        solved, info = _attempt_inner_solve(state, dt_try, cfg, kernel, p, guess)
         if solved is not None:
             iters = info
             break
@@ -315,15 +387,16 @@ def step(
             )
 
     # restore the k=0 mode exactly (transform roundoff only)
-    solved = solved + (phi_n.mean() - solved.mean())
+    solved += phi_n.mean() - solved.mean()
     phi = Field(state.phi.grid, solved)
-    mu, j_phi = _chemical_potential(phi, kernel, p)
+    mu, j_phi, phi_hat = _chemical_potential(phi, kernel, p)
     dissip = state.dissipation_accum + dt_try * h1_seminorm_sq(mu)
     return SimState(
         t=state.t + dt_try,
         phi=phi,
         mu=mu,
         j_phi=j_phi,
+        phi_hat=phi_hat,
         dissipation_accum=dissip,
         step_count=state.step_count + 1,
         last_inner_iters=iters,

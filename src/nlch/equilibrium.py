@@ -34,7 +34,7 @@ class EquilibriumResult:
 def mass_of_mu(conv_values: np.ndarray, p: pot.PotentialParams, mu: float) -> float:
     """Mean of the inverse-derivative image at a given scalar mu; strictly
     increasing in mu with range (-1, 1)."""
-    return float(np.mean(np.tanh((conv_values + mu) / p.alpha_bar)))
+    return float(np.mean(pot.inverse_derivative(p, conv_values + mu)))
 
 
 def _solve_mu(conv_values: np.ndarray, p: pot.PotentialParams, m: float) -> float:
@@ -92,7 +92,7 @@ def solve_stationary(
     for it in range(1, max_iters + 1):
         conv = convolve_values(kernel, phi)
         mu = _solve_mu(conv, p, m)
-        target = np.tanh((conv + mu) / p.alpha_bar)
+        target = pot.inverse_derivative(p, conv + mu)
         update = float(np.max(np.abs(target - phi)))
         # updates grow benignly while escaping an unstable uniform guess;
         # only damp genuine blow-up, and recover once updates shrink again
@@ -113,7 +113,7 @@ def solve_stationary(
     # the residual reflects the fixed-point defect, not the damping
     conv = convolve_values(kernel, phi)
     mu = _solve_mu(conv, p, m)
-    phi = np.tanh((conv + mu) / p.alpha_bar)
+    phi = pot.inverse_derivative(p, conv + mu)
 
     phi_field = Field(kernel.grid, phi)
     residual = pot.derivative(p, phi) - convolve_values(kernel, phi) - mu

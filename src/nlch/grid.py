@@ -6,8 +6,8 @@ integrals use midpoint quadrature, values * cell_volume, which on the torus is
 the trapezoidal rule and is spectrally accurate for smooth integrands.
 
 Wavenumbers are built in one place, the Grid's cached rfftn-layout symbols
-k_squared and deriv_wavenumbers; every spectral operation of the package,
-the H^1 seminorm by Parseval included, reads them.
+k_squared, deriv_wavenumbers and h1_symbol (the H^1 seminorm by Parseval);
+every spectral operation of the package reads them.
 """
 
 from __future__ import annotations
@@ -106,14 +106,24 @@ class Grid:
             self._axis_wavenumbers(axis, zero_nyquist=True) for axis in range(self.dim)
         )
 
+    @cached_property
+    def h1_symbol(self) -> np.ndarray:
+        """Parseval weight times |k|^2 from deriv_wavenumbers, the symbol of
+        h1_seminorm_sq: interior last-axis columns stand for a conjugate pair
+        and weigh 2, column 0 and the Nyquist column weigh 1."""
+        k2 = sum(k**2 for k in self.deriv_wavenumbers)
+        weight = np.full(k2.shape[-1], 2.0)
+        weight[0] = weight[-1] = 1.0
+        return weight * k2
+
     @property
     def fft_axes(self) -> tuple[int, ...]:
         return tuple(range(self.dim))
 
 
-def irfft(grid: Grid, spectral: np.ndarray) -> np.ndarray:
-    """Inverse real FFT back onto the grid shape."""
-    return np.fft.irfftn(spectral, s=grid.shape, axes=grid.fft_axes)
+def irfft(grid: Grid, spectral: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse real FFT back onto the grid shape, written into out if given."""
+    return np.fft.irfftn(spectral, s=grid.shape, axes=grid.fft_axes, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +196,9 @@ def fd_gradient(f: Field) -> tuple[Field, ...]:
 
 
 def h1_seminorm_sq(f: Field) -> float:
-    """Squared L^2 norm of gradient(f), by Parseval on the rfftn half-spectrum.
-
-    Interior last-axis columns stand for a conjugate pair and weigh 2; column 0
-    and the Nyquist column weigh 1."""
+    """Squared L^2 norm of gradient(f), by Parseval on the rfftn half-spectrum
+    weighted by grid.h1_symbol."""
     g = f.grid
     fh = np.fft.rfftn(f.values)
-    k2 = sum(k**2 for k in g.deriv_wavenumbers)
-    weight = np.full(k2.shape[-1], 2.0)
-    weight[0] = weight[-1] = 1.0
-    total = float(np.sum(weight * k2 * (fh.real**2 + fh.imag**2)))
+    total = float(np.sum(g.h1_symbol * (fh.real**2 + fh.imag**2)))
     return total * g.cell_volume / g.size

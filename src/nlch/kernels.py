@@ -4,8 +4,9 @@ Kernels are sampled at nearest-image distance on the grid and transformed
 once; convolution is then a pointwise multiply in spectral space scaled by
 cell_volume, so it approximates the integral J*f on the torus.  Even symmetry
 J(x) = J(-x) holds exactly on the grid by construction, which makes the
-multiplier real.  convolve_values is the one convolution body; convolve wraps
-it for Fields on the kernel's grid.
+multiplier real.  convolve_spectrum is the one convolution body, for callers
+that already hold the spectrum; convolve_values transforms values into it and
+convolve wraps that for Fields on the kernel's grid.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def convolve(kernel: Kernel, f: Field) -> Field:
 
 def convolve_values(kernel: Kernel, values: np.ndarray) -> np.ndarray:
     """Array-level convolve for inner loops (no Field wrapping/validation)."""
+    return convolve_spectrum(kernel, np.fft.rfftn(values))
+
+
+def convolve_spectrum(kernel: Kernel, values_hat: np.ndarray) -> np.ndarray:
+    """J*f as a fresh array, from the rfftn spectrum values_hat of f."""
     g = kernel.grid
-    fh = np.fft.rfftn(values)
-    return irfft(g, kernel.spectral_multiplier * fh) * g.cell_volume
+    out = irfft(g, kernel.spectral_multiplier * values_hat)
+    out *= g.cell_volume
+    return out

@@ -66,7 +66,7 @@ def value(p: PotentialParams, s):
 
 
 def _check_open_interval(arr: np.ndarray) -> None:
-    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
+    amax = max(float(arr.max()), -float(arr.min())) if arr.size else 0.0
     if amax >= 1.0 or 1.0 - amax < SEPARATION_FLOOR:
         raise PotentialDomainError(
             f"potential derivative evaluated too close to the pure phases: "
@@ -75,11 +75,13 @@ def _check_open_interval(arr: np.ndarray) -> None:
         )
 
 
-def derivative(p: PotentialParams, s):
-    """First derivative; odd, strictly increasing, singular at +-1."""
+def derivative(p: PotentialParams, s, out: np.ndarray | None = None):
+    """First derivative; odd, strictly increasing, singular at +-1.  With out
+    (a float64 array of s's shape) the values are written there and out is
+    returned."""
     arr, scalar = _as_array(s)
     _check_open_interval(arr)
-    out = p.alpha_bar * np.arctanh(arr)
+    out = np.multiply(p.alpha_bar, np.arctanh(arr, out=out), out=out)
     return _maybe_scalar(out, scalar)
 
 
@@ -100,7 +102,9 @@ def inverse_derivative(p: PotentialParams, w):
     """
     arr, scalar = _as_array(w)
     bound = 1.0 - SEPARATION_FLOOR
-    out = np.clip(np.tanh(arr / p.alpha_bar), -bound, bound)
+    out = np.tanh(arr / p.alpha_bar, out=np.empty(arr.shape))
+    np.maximum(out, -bound, out=out)  # in place: np.clip costs twice as much
+    np.minimum(out, bound, out=out)
     return _maybe_scalar(out, scalar)
 
 

@@ -141,7 +141,9 @@ class TestStep:
         grid, kernel, p = setup_small
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7)
         phi = Field.constant(grid, 0.3)
-        st = SimState(0.0, phi, Field.constant(grid, 0.0), convolve(kernel, phi), 0.0, 0)
+        st = SimState(
+            0.0, phi, Field.constant(grid, 0.0), convolve(kernel, phi), np.fft.rfftn(phi.values), 0.0, 0
+        )
         st2 = step(st, cfg, kernel, p)
         assert np.all(st2.phi.values == 0.3)
         assert np.ptp(st2.mu.values) == 0.0
@@ -246,7 +248,7 @@ class TestMixedInnerSolve:
         )
         assert 1.0 - lp_norm(st.phi, np.inf) < 0.05  # near the pure phases
         cfg = StepperConfig(dt=1e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
-        solved, iters = _attempt_inner_solve(st.phi.values, cfg.dt, cfg, kernel, p)
+        solved, iters = _attempt_inner_solve(st, cfg.dt, cfg, kernel, p)
         assert solved is not None
         ref = picard_reference(st.phi.values, cfg.dt, kernel, p)
         assert np.max(np.abs(solved - ref)) <= 1e-9
@@ -263,9 +265,9 @@ class TestMixedInnerSolve:
         evaluated = []
         derivative = potential_module.derivative
 
-        def recording_derivative(pp, s):
+        def recording_derivative(pp, s, out=None):
             evaluated.append(float(np.max(np.abs(s))))
-            return derivative(pp, s)
+            return derivative(pp, s, out)
 
         monkeypatch.setattr(potential_module, "derivative", recording_derivative)
         st2 = step(st, cfg, kernel, p)  # a PotentialDomainError fails the test
@@ -283,7 +285,7 @@ class TestMixedInnerSolve:
             InitialData(mode="constant", m=0.3, noise_amplitude=0.2, seed=11),
         )
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
-        solved, iters = _attempt_inner_solve(st.phi.values, cfg.dt, cfg, kernel, p)
+        solved, iters = _attempt_inner_solve(st, cfg.dt, cfg, kernel, p)
         assert solved is not None and iters > 1
         assert abs(solved.mean() - st.phi.values.mean()) <= 1e-14
 
@@ -311,8 +313,8 @@ def count_attempts(monkeypatch):
     counts = {"rejected": 0, "warm": []}
     attempt = dynamics_module._attempt_inner_solve
 
-    def counting(phi_n, dt, cfg, kernel, p, guess=None):
-        solved, info = attempt(phi_n, dt, cfg, kernel, p, guess)
+    def counting(state, dt, cfg, kernel, p, guess=None):
+        solved, info = attempt(state, dt, cfg, kernel, p, guess)
         counts["rejected"] += solved is None
         counts["warm"].append(guess is not None)
         return solved, info
@@ -412,9 +414,9 @@ class TestWarmStart:
         evaluated = []
         derivative = potential_module.derivative
 
-        def recording_derivative(pp, s):
+        def recording_derivative(pp, s, out=None):
             evaluated.append(float(np.max(np.abs(s))))
-            return derivative(pp, s)
+            return derivative(pp, s, out)
 
         monkeypatch.setattr(potential_module, "derivative", recording_derivative)
         warm = step(steep, cfg, kernel, p)  # a PotentialDomainError fails the test
@@ -463,6 +465,71 @@ class TestWarmStart:
         assert out.last_dt == pytest.approx(2.5e-3)
         assert len(out.history) == EXTRAPOLATION_ORDER
         assert series.rows[-1].t == pytest.approx(0.0505)
+
+
+def state_arrays(st):
+    """Every array a state holds, history entries included, by name."""
+    arrays = {"phi": st.phi.values, "mu": st.mu.values, "j_phi": st.j_phi.values,
+              "phi_hat": st.phi_hat}
+    arrays.update({f"history{k}": values for k, (_, values) in enumerate(st.history)})
+    return arrays
+
+
+class TestWorkspace:
+    def test_results_never_alias_scratch_or_each_other(self):
+        # mixed, warm-started 2D steps: every array a state holds must be its
+        # own, and no later step may write into an earlier state
+        grid = Grid(2, 32, 4.0)
+        kernel, p = strong_segregation(grid)
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        states = [init_state(
+            grid, kernel, p,
+            InitialData(mode="constant", m=0.3, noise_amplitude=0.2, seed=11),
+        )]
+        saved = [{k: v.copy() for k, v in state_arrays(states[0]).items()}]
+        for _ in range(5):
+            states.append(step(states[-1], cfg, kernel, p))
+            saved.append({k: v.copy() for k, v in state_arrays(states[-1]).items()})
+        assert states[-1].last_inner_iters > 2 and len(states[-1].history) == EXTRAPOLATION_ORDER
+        for st, before in zip(states, saved):
+            for name, values in state_arrays(st).items():
+                assert np.array_equal(values, before[name]), name
+        own = [a for st in states for k, a in state_arrays(st).items() if not k.startswith("history")]
+        for i, a in enumerate(own):
+            for b in own[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for k, st in enumerate(states):
+            # history holds earlier states' own phi arrays, never scratch
+            assert all(any(v is prev.phi.values for prev in states[:k]) for _, v in st.history)
+            assert not st.phi_hat.flags.writeable
+
+    def test_interleaved_grids_match_separate_runs(self):
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        setups = []
+        for grid in (Grid(1, 64, 4.0), Grid(2, 32, 4.0)):
+            kernel, p = strong_segregation(grid)
+            st = init_state(
+                grid, kernel, p,
+                InitialData(mode="constant", m=0.1, noise_amplitude=0.2, seed=3),
+            )
+            setups.append((kernel, p, st))
+
+        def alone(kernel, p, st):
+            dynamics_module._workspace.cache_clear()
+            for _ in range(6):
+                st = step(st, cfg, kernel, p)
+            return st
+
+        expected = [alone(*setup) for setup in setups]
+        dynamics_module._workspace.cache_clear()
+        states = [st for _, _, st in setups]
+        for _ in range(6):
+            states = [step(st, cfg, kernel, p) for (kernel, p, _), st in zip(setups, states)]
+        for got, want in zip(states, expected):
+            for name, values in state_arrays(got).items():
+                assert np.array_equal(values, state_arrays(want)[name]), name
+            assert got.last_inner_iters == want.last_inner_iters
+            assert got.dissipation_accum == want.dissipation_accum
 
 
 class TestRun:

@@ -144,6 +144,31 @@ class TestDerivativeOracle:
         self.assert_matches_oracle(p, s)
 
 
+class TestDerivativeOut:
+    def test_out_matches_fresh_evaluation_bitwise(self, p1):
+        s = np.random.default_rng(5).uniform(-1.0, 1.0, (16, 16)) * (1.0 - 1e-9)
+        s[0, 0], s[0, 1] = 1.0 - 1e-14, -(1.0 - 1e-14)
+        buf = np.empty_like(s)
+        got = derivative(p1, s, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, derivative(p1, s))
+
+    def test_scalar_and_zero_d_inputs_return_floats(self, p1):
+        for s in (0.3, np.float64(-0.7), np.array(0.5)):
+            got = derivative(p1, s)
+            assert type(got) is float
+            assert got == derivative(p1, np.array([float(s)]))[0]
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, 1.0 - 1e-16, -(1.0 - 5e-16)])
+    def test_domain_errors_with_out(self, p1, bad):
+        s = np.zeros(8)
+        s[3] = bad
+        with pytest.raises(PotentialDomainError):
+            derivative(p1, s, out=np.empty_like(s))
+        with pytest.raises(PotentialDomainError):
+            derivative(p1, bad)
+
+
 class TestInverseDerivative:
     def test_origin(self, p1):
         assert inverse_derivative(p1, 0.0) == 0.0
