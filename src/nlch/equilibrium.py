@@ -34,7 +34,8 @@ class EquilibriumResult:
 def mass_of_mu(conv_values: np.ndarray, p: pot.PotentialParams, mu: float) -> float:
     """Mean of the inverse-derivative image at a given scalar mu; strictly
     increasing in mu with range (-1, 1)."""
-    return float(np.mean(pot.inverse_derivative(p, conv_values + mu)))
+    phi = pot.inverse_derivative(p, conv_values + mu)
+    return float(phi.sum()) / phi.size  # np.mean's arithmetic, a third of its call cost
 
 
 def _solve_mu(conv_values: np.ndarray, p: pot.PotentialParams, m: float) -> float:

@@ -121,6 +121,11 @@ class Grid:
         return tuple(range(self.dim))
 
 
+def max_abs(a: np.ndarray) -> float:
+    """max|a| without the |a| temporary; 0 for an empty array."""
+    return max(float(a.max()), -float(a.min())) if a.size else 0.0
+
+
 def irfft(grid: Grid, spectral: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse real FFT back onto the grid shape, written into out if given."""
     return np.fft.irfftn(spectral, s=grid.shape, axes=grid.fft_axes, out=out)

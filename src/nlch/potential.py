@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import max_abs
+
 # Closest admissible approach to the pure phases before evaluation refuses.
 SEPARATION_FLOOR = 1e-15
 
@@ -66,7 +68,7 @@ def value(p: PotentialParams, s):
 
 
 def _check_open_interval(arr: np.ndarray) -> None:
-    amax = max(float(arr.max()), -float(arr.min())) if arr.size else 0.0
+    amax = max_abs(arr)
     if amax >= 1.0 or 1.0 - amax < SEPARATION_FLOOR:
         raise PotentialDomainError(
             f"potential derivative evaluated too close to the pure phases: "
@@ -81,7 +83,8 @@ def derivative(p: PotentialParams, s, out: np.ndarray | None = None):
     returned."""
     arr, scalar = _as_array(s)
     _check_open_interval(arr)
-    out = np.multiply(p.alpha_bar, np.arctanh(arr, out=out), out=out)
+    out = np.arctanh(arr, out=out)
+    out *= p.alpha_bar  # in place for arrays; a 0-d input gives a scalar
     return _maybe_scalar(out, scalar)
 
 
@@ -102,7 +105,8 @@ def inverse_derivative(p: PotentialParams, w):
     """
     arr, scalar = _as_array(w)
     bound = 1.0 - SEPARATION_FLOOR
-    out = np.tanh(arr / p.alpha_bar, out=np.empty(arr.shape))
+    out = np.asarray(arr / p.alpha_bar)  # 0-d: the scalar quotient as an array
+    np.tanh(out, out=out)
     np.maximum(out, -bound, out=out)  # in place: np.clip costs twice as much
     np.minimum(out, bound, out=out)
     return _maybe_scalar(out, scalar)

@@ -323,6 +323,11 @@ def count_attempts(monkeypatch):
     return counts
 
 
+def scratch(like):
+    """The guess and scratch buffers _warm_start writes into."""
+    return np.empty_like(like), np.empty_like(like)
+
+
 def mid_run_state(grid, kernel, p, cfg, steps):
     st = init_state(
         grid, kernel, p,
@@ -347,7 +352,7 @@ class TestWarmStart:
         w = _lagrange_weights(times, t_star)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12)
-        guess = _warm_start(tuple((t, f(t)) for t in times), t_star, cfg)
+        guess = _warm_start(tuple((t, f(t)) for t in times), t_star, cfg, *scratch(x))
         assert np.max(np.abs(guess - f(t_star))) <= 1e-13
         assert np.max(np.abs(sum(w_j * f(t) for w_j, t in zip(w, times)) - f(t_star))) <= 1e-13
 
@@ -359,9 +364,10 @@ class TestWarmStart:
         def nodes(move):
             return tuple((t, np.full(8, 0.2 + move * t / 0.01)) for t in (0.0, -0.01, -0.02, -0.03))
 
-        assert _warm_start(nodes(14 * cfg.inner_tol), 0.01, cfg) is None
-        assert _warm_start(nodes(16 * cfg.inner_tol), 0.01, cfg) is not None
-        assert _warm_start(nodes(1.0)[:1], 0.01, cfg) is None  # cold start
+        buffers = scratch(np.empty(8))
+        assert _warm_start(nodes(14 * cfg.inner_tol), 0.01, cfg, *buffers) is None
+        assert _warm_start(nodes(16 * cfg.inner_tol), 0.01, cfg, *buffers) is not None
+        assert _warm_start(nodes(1.0)[:1], 0.01, cfg, *buffers) is None  # cold start
 
     @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
     def test_step_with_history_matches_cold_start(self, dim, n):
@@ -410,7 +416,8 @@ class TestWarmStart:
         steep = dataclasses.replace(
             st, t=0.5, history=((0.5 - cfg.dt, 0.25 * st.phi.values),)
         )
-        assert _warm_start(((steep.t, st.phi.values),) + steep.history, 0.5 + cfg.dt, cfg) is None
+        nodes = ((steep.t, st.phi.values),) + steep.history
+        assert _warm_start(nodes, 0.5 + cfg.dt, cfg, *scratch(st.phi.values)) is None
         evaluated = []
         derivative = potential_module.derivative
 
