@@ -16,6 +16,7 @@ from .diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRow,
     TimeSeries,
+    chemical_potential,
     energy,
     energy_alt,
     gn_constant_estimate,

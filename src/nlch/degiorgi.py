@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import potential as pot
-from .grid import Field, lp_norm
+from .grid import Field, lp_norm, max_abs
 
 #: fixed exponents of the truncation-scheme recursion
 RECURSION_BASE = 2.0**4.5
@@ -168,7 +168,7 @@ def _sorted_uniform(snapshots):
     times = np.array([t for t, _ in snaps])
     diffs = np.diff(times)
     stride = float(np.median(diffs))
-    if stride <= 0.0 or np.max(np.abs(diffs - stride)) > 1e-9 * stride:
+    if stride <= 0.0 or max_abs(diffs - stride) > 1e-9 * stride:
         raise ValueError("snapshots are not uniformly strided")
     return snaps, times, stride
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import potential as pot
-from .grid import Field, Grid, fd_gradient, h1_seminorm_sq, irfft, lp_norm, mean
-from .kernels import Kernel, convolve
+from .grid import Field, Grid, fd_gradient, h1_seminorm_sq, irfft, lp_norm, max_abs, mean
+from .kernels import Kernel, convolve, convolve_values
 
 CSV_COLUMNS = (
     "t",
@@ -38,7 +38,7 @@ def energy_pair(
 ) -> tuple[float, float]:
     """(energy, energy_alt) of phi from its convolution j_phi = J*phi, both
     read off one evaluation of F."""
-    if float(np.max(np.abs(phi.values))) > 1.0:
+    if max_abs(phi.values) > 1.0:
         raise pot.PotentialDomainError("energy argument exceeds [-1, 1]")
     cv = phi.grid.cell_volume
     a = kernel.j_integral
@@ -68,18 +68,27 @@ def energy_alt(phi: Field, kernel: Kernel, p: pot.PotentialParams) -> float:
 
 def separation_margin(phi: Field) -> float:
     """1 - sup|phi|; strictly positive iff phi is separated from +-1."""
-    return 1.0 - float(np.max(np.abs(phi.values)))
+    return 1.0 - max_abs(phi.values)
 
 
-def mu_linf(state_or_field) -> float:
-    """Sup norm of the chemical potential (accepts a SimState or a Field)."""
-    mu = getattr(state_or_field, "mu", state_or_field)
+def chemical_potential(
+    phi: Field, kernel: Kernel, p: pot.PotentialParams
+) -> tuple[Field, Field]:
+    """mu = F'(phi) - J*phi, returned with the J*phi it is built from."""
+    j_phi = convolve_values(kernel, phi.values)
+    mu = pot.derivative(p, phi.values)
+    mu -= j_phi
+    return Field(phi.grid, mu), Field(phi.grid, j_phi)
+
+
+def mu_linf(mu: Field) -> float:
+    """Sup norm of the chemical potential."""
     return lp_norm(mu, np.inf)
 
 
 def gn_ratio(u: Field) -> float:
     """Interpolation-norm ratio ||u||_{10/3} / (||u||^{2/5} ||u||_V^{3/5})."""
-    if float(np.max(np.abs(u.values))) == 0.0:
+    if max_abs(u.values) == 0.0:
         raise ValueError("gn_ratio is undefined for the zero field")
     num = lp_norm(u, 10.0 / 3.0)
     l2 = lp_norm(u, 2.0)
@@ -221,9 +230,11 @@ def make_row(
     energy_base: float,
     dissipation_base: float,
 ) -> DiagnosticsRow:
-    """Assemble one diagnostics row from a simulation state."""
+    """Assemble one diagnostics row from a simulation state, building its
+    chemical potential."""
     phi = state.phi
-    e, ea = energy_pair(phi, state.j_phi, kernel, p)
+    mu, j_phi = chemical_potential(phi, kernel, p)
+    e, ea = energy_pair(phi, j_phi, kernel, p)
     mn = float(np.min(phi.values))
     mx = float(np.max(phi.values))
     dissip = state.dissipation_accum
@@ -237,7 +248,7 @@ def make_row(
         min_phi=mn,
         max_phi=mx,
         delta_sep=1.0 - max(abs(mn), abs(mx)),
-        mu_linf=mu_linf(state),
+        mu_linf=mu_linf(mu),
         inner_iters=state.last_inner_iters,
         dt_used=state.last_dt,
     )

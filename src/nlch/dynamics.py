@@ -60,14 +60,24 @@ the F' and Picard buffers, the alternating residual, image and candidate
 arrays, the Anderson ring with its Gram matrix, and the warm-start guess.
 FFTs and ufuncs write into it through out=, in the same operations and order
 as the expression forms, so results are bit-identical to allocating ones.
-Nothing that outlives a call is a view of it: phi, mu, J*phi, phi_hat and
-the history entries of a returned state are fresh arrays, and so is a solved
-attempt.  The state carries phi_hat = rfftn(phi), which J*phi is built from
-and the next step's rhat reuses.  Because the workspace is shared, step is
-not reentrant: do not step states of one grid from several threads at once.
-The first step on a grid builds its workspace, about 22 grid-sized float64
-arrays (2.8 MB at 128^2, 44 MB at 64^3), which stays allocated while the grid
-is among the four most recently stepped.
+Nothing that outlives a call is a view of it: phi, phi_hat and the history
+entries of a returned state are fresh arrays, and so is a solved attempt.
+Because the workspace is shared, step is not reentrant: do not step states
+of one grid from several threads at once.  The first step on a grid builds
+its workspace, about 22 grid-sized float64 arrays (2.8 MB at 128^2, 44 MB at
+64^3), which stays allocated while the grid is among the four most recently
+stepped.
+
+The step's tail.  The state carries phi and phi_hat, its spectrum, which the
+next step's rhat reuses; mu and J*phi are not carried, and
+diagnostics.chemical_potential builds them where a row or a caller reads
+them.  The accepted iterate is irfft(g_hat), so phi_hat is a copy of the
+solve's g_hat with its k = 0 entry set to the restored mean; only when the
+final candidate was halved toward the iterate (it is then not irfft(g_hat))
+is phi transformed again.  That phi_hat equals rfftn(phi) to roundoff, not
+bit for bit.  The dissipation increment dt ||grad mu||^2 is a Parseval sum
+over mu_hat = F'(phi)^hat - cell_volume J^ phi_hat, built in the workspace,
+so a step costs two transforms per inner iteration and one after the solve.
 """
 
 from __future__ import annotations
@@ -78,9 +88,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import potential as pot
-from .diagnostics import DiagnosticsRow, TimeSeries, energy_pair, make_row
-from .grid import Field, Grid, h1_seminorm_sq, irfft, max_abs
-from .kernels import Kernel, convolve_spectrum
+from .diagnostics import DiagnosticsRow, TimeSeries, chemical_potential, energy_pair, make_row
+from .grid import Field, Grid, h1_seminorm_sq_of_spectrum, irfft, max_abs
+from .kernels import Kernel
 from .snapshots import read_snapshot
 
 MAX_UPDATE_HALVINGS = 30
@@ -150,9 +160,7 @@ class InitialData:
 class SimState:
     t: float
     phi: Field
-    mu: Field
-    j_phi: Field  # J*phi, the one convolution of this state
-    phi_hat: np.ndarray  # rfftn(phi), read-only: J*phi and the next step's rhat
+    phi_hat: np.ndarray  # rfftn(phi) to roundoff, read-only: the next step's rhat
     dissipation_accum: float
     step_count: int
     last_inner_iters: int = 0
@@ -201,23 +209,10 @@ def _workspace(grid: Grid) -> _Workspace:
     return _Workspace(grid)
 
 
-def _chemical_potential(
-    phi: Field, kernel: Kernel, p: pot.PotentialParams
-) -> tuple[Field, Field, np.ndarray]:
-    """mu = F'(phi) - J*phi, returned with the J*phi it is built from and the
-    read-only spectrum of phi that J*phi came from."""
-    phi_hat = np.fft.rfftn(phi.values)
-    phi_hat.setflags(write=False)
-    j_phi = convolve_spectrum(kernel, phi_hat)
-    mu = pot.derivative(p, phi.values)
-    mu -= j_phi
-    return Field(phi.grid, mu), Field(phi.grid, j_phi), phi_hat
-
-
 def init_state(
     grid: Grid, kernel: Kernel, p: pot.PotentialParams, initial: InitialData
 ) -> SimState:
-    """Build the t = 0 state and its chemical potential."""
+    """Build the t = 0 state and its spectrum."""
     if initial.mode == "constant":
         rng = np.random.default_rng(initial.seed)
         vals = initial.m + initial.noise_amplitude * rng.uniform(-1.0, 1.0, grid.shape)
@@ -231,17 +226,16 @@ def init_state(
         if abs(vals.mean()) >= 1.0:
             raise ValueError("pure phase mean in snapshot initial data")
 
-    amax = float(np.max(np.abs(vals)))
+    amax = max_abs(vals)
     if amax > 1.0 - initial.delta0:
         raise ValueError(
             f"initial data violates the delta0 bound: max|phi0| = {amax} > "
             f"{1.0 - initial.delta0}"
         )
     phi = Field(grid, vals)
-    mu, j_phi, phi_hat = _chemical_potential(phi, kernel, p)
-    return SimState(
-        t=0.0, phi=phi, mu=mu, j_phi=j_phi, phi_hat=phi_hat, dissipation_accum=0.0, step_count=0
-    )
+    phi_hat = np.fft.rfftn(phi.values)
+    phi_hat.setflags(write=False)
+    return SimState(t=0.0, phi=phi, phi_hat=phi_hat, dissipation_accum=0.0, step_count=0)
 
 
 def _attempt_inner_solve(
@@ -253,7 +247,9 @@ def _attempt_inner_solve(
     guess: np.ndarray | None = None,
 ):
     """One implicit solve from state at fixed dt, started at guess (default
-    phi^n).  Returns (values, iters) with fresh values, or (None, residual)."""
+    phi^n).  Returns (values, values_hat, iters) with fresh values and, unless
+    the final candidate was halved, their spectrum g_hat as a fresh array
+    (else None); or (None, None, residual)."""
     grid = kernel.grid
     ws = _workspace(grid)
     dt_k2 = np.multiply(dt, grid.k_squared, out=ws.dt_k2)
@@ -311,15 +307,15 @@ def _attempt_inner_solve(
         halvings = 0
         while not amax_cand <= bound:  # a NaN candidate fails too
             if halvings == MAX_UPDATE_HALVINGS:
-                return None, residual
+                return None, None, residual
             cand = np.add(phi, cand, out=spare)
             cand *= 0.5
             amax_cand = max_abs(cand)
             halvings += 1
         if residual <= cfg.inner_tol:
-            return cand.copy(), it
+            return cand.copy(), (g_hat.copy() if halvings == 0 else None), it
         phi, amax = cand, amax_cand
-    return None, residual
+    return None, None, residual
 
 
 def _lagrange_weights(nodes: np.ndarray, t_star: float) -> np.ndarray:
@@ -369,11 +365,12 @@ def step(
     dt_try = float(cfg.dt if dt is None else dt)
     phi_n = state.phi.values
     nodes = ((state.t, phi_n),) + state.history
-    ws = _workspace(state.phi.grid)
+    grid = state.phi.grid
+    ws = _workspace(grid)
     last_residual = np.inf
     while True:
         guess = _warm_start(nodes, state.t + dt_try, cfg, out=ws.guess, tmp=ws.tmp)
-        solved, info = _attempt_inner_solve(state, dt_try, cfg, kernel, p, guess)
+        solved, phi_hat, info = _attempt_inner_solve(state, dt_try, cfg, kernel, p, guess)
         if solved is not None:
             iters = info
             break
@@ -386,15 +383,23 @@ def step(
             )
 
     # restore the k=0 mode exactly (transform roundoff only)
-    solved += phi_n.mean() - solved.mean()
-    phi = Field(state.phi.grid, solved)
-    mu, j_phi, phi_hat = _chemical_potential(phi, kernel, p)
-    dissip = state.dissipation_accum + dt_try * h1_seminorm_sq(mu)
+    mass = phi_n.mean()
+    solved += mass - solved.mean()
+    if phi_hat is None:  # a halved candidate is not irfft(g_hat)
+        phi_hat = np.fft.rfftn(solved)
+    else:
+        phi_hat.flat[0] = mass * grid.size
+    phi_hat.setflags(write=False)
+    # ||grad mu||^2 by Parseval, mu_hat = F'(phi)^hat - J^ phi_hat
+    mu_hat = np.fft.rfftn(pot.derivative(p, solved, out=ws.work), out=ws.g_hat)
+    j_phi_hat = np.multiply(kernel.spectral_multiplier, phi_hat, out=ws.r_hat)
+    j_phi_hat *= grid.cell_volume
+    mu_hat -= j_phi_hat
+    grad_mu_sq = h1_seminorm_sq_of_spectrum(grid, mu_hat, scratch=(ws.dt_k2, ws.helmholtz))
+    dissip = state.dissipation_accum + dt_try * grad_mu_sq
     return SimState(
         t=state.t + dt_try,
-        phi=phi,
-        mu=mu,
-        j_phi=j_phi,
+        phi=Field(grid, solved),
         phi_hat=phi_hat,
         dissipation_accum=dissip,
         step_count=state.step_count + 1,
@@ -458,7 +463,8 @@ def run(
     if t_end <= state.t:
         return state, series
 
-    e_base, _ = energy_pair(state.phi, state.j_phi, kernel, p)
+    _, j_phi = chemical_potential(state.phi, kernel, p)
+    e_base, _ = energy_pair(state.phi, j_phi, kernel, p)
     d_base = state.dissipation_accum
 
     def emit(st: SimState) -> None:

@@ -4,7 +4,8 @@ monitoring.
 A stationary state solves F'(phi) - J*phi = mu with a scalar mu.  The solver
 iterates the inverse-derivative form phi <- tanh((J*phi + mu)/alpha), which
 keeps iterates strictly inside (-1, 1) by construction; mu is re-solved every
-sweep so the iterate mean matches the prescribed mass.  Stationary states are
+sweep, by a bracketed Newton iteration on the scalar mass map, so the iterate
+mean matches the prescribed mass.  Stationary states are
 not unique in general: the solver returns the one selected by the guess.
 """
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potential as pot
-from .diagnostics import energy, energy_pair
-from .grid import Field, h1_seminorm_sq, lp_norm, mean
+from .diagnostics import chemical_potential, energy, energy_pair
+from .grid import Field, h1_seminorm_sq, lp_norm, max_abs, mean
 from .kernels import Kernel, convolve_values
 
 
@@ -31,16 +32,30 @@ class EquilibriumResult:
     converged: bool
 
 
+def _mass_and_slope(
+    conv_values: np.ndarray, p: pot.PotentialParams, mu: float
+) -> tuple[float, float]:
+    """The mass map mean(tanh((conv + mu)/alpha)) at mu and its derivative
+    mean(1 - phi^2)/alpha, from one tanh evaluation."""
+    phi = pot.inverse_derivative(p, conv_values + mu)
+    mass = float(phi.sum()) / phi.size  # np.mean's arithmetic, a third of its call cost
+    phi *= phi
+    return mass, (1.0 - float(phi.sum()) / phi.size) / p.alpha_bar
+
+
 def mass_of_mu(conv_values: np.ndarray, p: pot.PotentialParams, mu: float) -> float:
     """Mean of the inverse-derivative image at a given scalar mu; strictly
     increasing in mu with range (-1, 1)."""
-    phi = pot.inverse_derivative(p, conv_values + mu)
-    return float(phi.sum()) / phi.size  # np.mean's arithmetic, a third of its call cost
+    return _mass_and_slope(conv_values, p, mu)[0]
 
 
 def _solve_mu(conv_values: np.ndarray, p: pot.PotentialParams, m: float) -> float:
-    """Bracketed bisection for mean(tanh((conv + mu)/alpha)) = m."""
-    span = float(np.max(np.abs(conv_values)))
+    """Safeguarded Newton for mean(tanh((conv + mu)/alpha)) = m.
+
+    Every evaluated mu narrows the bracket [lo, hi]; a Newton step that leaves
+    it is replaced by bisection.  Stops once the step or the bracket is within
+    1e-15 relative."""
+    span = max_abs(conv_values)
     half_width = span + p.alpha_bar * (1.0 + abs(np.arctanh(min(abs(m), 1.0 - 1e-12))))
     lo, hi = -half_width, half_width
     for _ in range(200):
@@ -51,15 +66,22 @@ def _solve_mu(conv_values: np.ndarray, p: pot.PotentialParams, m: float) -> floa
         if mass_of_mu(conv_values, p, hi) > m:
             break
         hi *= 2.0
+    mu = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            break
-        if mass_of_mu(conv_values, p, mid) < m:
-            lo = mid
+        mass, slope = _mass_and_slope(conv_values, p, mu)
+        if mass < m:
+            lo = mu
+        elif mass > m:
+            hi = mu
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return mu
+        newton = mu - (mass - m) / slope if slope > 0.0 else np.nan
+        mu_next = newton if lo < newton < hi else 0.5 * (lo + hi)  # nan bisects
+        width = 1e-15 * max(1.0, abs(mu_next))
+        if abs(mu_next - mu) <= width or hi - lo <= width:
+            return mu_next
+        mu = mu_next
+    return mu
 
 
 def solve_stationary(
@@ -81,7 +103,7 @@ def solve_stationary(
         raise ValueError(f"pure phase mean: |m| = {abs(m)} >= 1")
     if not (0.0 < omega <= 1.0):
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
-    if float(np.max(np.abs(guess.values))) >= 1.0:
+    if max_abs(guess.values) >= 1.0:
         raise ValueError("guess must satisfy max|guess| < 1")
 
     phi = np.array(guess.values)
@@ -94,7 +116,7 @@ def solve_stationary(
         conv = convolve_values(kernel, phi)
         mu = _solve_mu(conv, p, m)
         target = pot.inverse_derivative(p, conv + mu)
-        update = float(np.max(np.abs(target - phi)))
+        update = max_abs(target - phi)
         # updates grow benignly while escaping an unstable uniform guess;
         # only damp genuine blow-up, and recover once updates shrink again
         if update > 1.2 * prev_update:
@@ -103,7 +125,7 @@ def solve_stationary(
             omega = min(1.25 * omega, omega0)
         prev_update = update
         phi_next = (1.0 - omega) * phi + omega * target
-        increment = float(np.max(np.abs(phi_next - phi)))
+        increment = max_abs(phi_next - phi)
         phi = phi_next
         if increment <= tol:
             converged = True
@@ -121,10 +143,10 @@ def solve_stationary(
     return EquilibriumResult(
         phi_inf=phi_field,
         mu_inf=float(mu),
-        residual_linf=float(np.max(np.abs(residual))),
+        residual_linf=max_abs(residual),
         mass_error=abs(mean(phi_field) - m),
         iterations=iterations,
-        separation_margin=1.0 - float(np.max(np.abs(phi))),
+        separation_margin=1.0 - max_abs(phi),
         converged=converged,
     )
 
@@ -160,15 +182,14 @@ def monitor_convergence(
         raise ValueError("no snapshots to monitor")
     times, grad_norms, distances, energies = [], [], [], []
     for t, f in snaps:
-        conv = convolve_values(kernel, f.values)
-        mu_vals = pot.derivative(p, f.values) - conv
-        grad_norms.append(np.sqrt(h1_seminorm_sq(Field(f.grid, mu_vals))))
+        mu, j_phi = chemical_potential(f, kernel, p)
+        grad_norms.append(np.sqrt(h1_seminorm_sq(mu)))
         distances.append(lp_norm(Field(f.grid, f.values - phi_inf.values), 2.0))
-        energies.append(energy_pair(f, Field(f.grid, conv), kernel, p)[0])
+        energies.append(energy_pair(f, j_phi, kernel, p)[0])
         times.append(t)
     energies = np.array(energies)
     e_inf = energy(phi_inf, kernel, p)
-    slack = energy_slack * max(1.0, float(np.max(np.abs(energies))))
+    slack = energy_slack * max(1.0, max_abs(energies))
     monotone = bool(np.all(np.diff(energies) <= slack))
     lyapunov = bool(np.all(energies >= e_inf - slack))
     return ConvergenceReport(

@@ -163,7 +163,7 @@ def mean(f: Field) -> float:
 def lp_norm(f: Field, p: float) -> float:
     """L^p norm with midpoint quadrature; p = inf gives the sup norm."""
     if p == np.inf or p == float("inf"):
-        return float(np.max(np.abs(f.values)))
+        return max_abs(f.values)
     if not p >= 1.0:
         raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p}")
     cv = f.grid.cell_volume
@@ -203,7 +203,18 @@ def fd_gradient(f: Field) -> tuple[Field, ...]:
 def h1_seminorm_sq(f: Field) -> float:
     """Squared L^2 norm of gradient(f), by Parseval on the rfftn half-spectrum
     weighted by grid.h1_symbol."""
-    g = f.grid
-    fh = np.fft.rfftn(f.values)
-    total = float(np.sum(g.h1_symbol * (fh.real**2 + fh.imag**2)))
-    return total * g.cell_volume / g.size
+    return h1_seminorm_sq_of_spectrum(f.grid, np.fft.rfftn(f.values))
+
+
+def h1_seminorm_sq_of_spectrum(
+    grid: Grid, f_hat: np.ndarray, scratch: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
+    """h1_seminorm_sq of the field whose rfftn is f_hat.  scratch, two real
+    arrays of k_squared's shape, holds the weighted squares if given."""
+    if scratch is None:
+        scratch = (np.empty(grid.k_squared.shape), np.empty(grid.k_squared.shape))
+    sq, sq_imag = scratch
+    np.multiply(f_hat.real, f_hat.real, out=sq)
+    sq += np.multiply(f_hat.imag, f_hat.imag, out=sq_imag)
+    sq *= grid.h1_symbol
+    return float(np.sum(sq)) * grid.cell_volume / grid.size

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, irfft
+from .grid import Field, Grid, irfft, max_abs
 
 FAMILIES = ("gaussian", "exponential", "mollified_newtonian")
 
@@ -98,7 +98,7 @@ def build_kernel(
 
     mult = np.fft.rfftn(samples)
     scale = max(float(np.max(np.abs(mult))), 1.0)
-    if float(np.max(np.abs(mult.imag))) > 1e-12 * scale:
+    if max_abs(mult.imag) > 1e-12 * scale:
         raise AssertionError("kernel spectral multiplier is not real; symmetry broken")
     mult_real = np.ascontiguousarray(mult.real)
     mult_real.setflags(write=False)

@@ -15,8 +15,10 @@ from nlch import (
     StepError,
     StepperConfig,
     build_kernel,
+    chemical_potential,
     convolve,
     energy,
+    h1_seminorm_sq,
     init_state,
     lp_norm,
     mean,
@@ -64,7 +66,7 @@ class TestInitState:
         grid, kernel, p = setup_small
         st = init_state(grid, kernel, p, InitialData(mode="constant", m=0.0))
         assert np.all(st.phi.values == 0.0)
-        assert np.all(st.mu.values == 0.0)
+        assert np.all(chemical_potential(st.phi, kernel, p)[0].values == 0.0)
         assert st.t == 0.0 and st.dissipation_accum == 0.0 and st.step_count == 0
 
     def test_constant_mean_gives_uniform_mu(self, setup_small):
@@ -73,8 +75,9 @@ class TestInitState:
         from nlch import derivative
 
         expected = derivative(p, 0.3) - 0.3 * kernel.j_integral
-        assert np.ptp(st.mu.values) <= 1e-14
-        assert st.mu.values.flat[0] == pytest.approx(expected, rel=1e-12)
+        mu, _ = chemical_potential(st.phi, kernel, p)
+        assert np.ptp(mu.values) <= 1e-14
+        assert mu.values.flat[0] == pytest.approx(expected, rel=1e-12)
 
     def test_noise_mean_recentered(self, setup_small):
         grid, kernel, p = setup_small
@@ -141,12 +144,10 @@ class TestStep:
         grid, kernel, p = setup_small
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7)
         phi = Field.constant(grid, 0.3)
-        st = SimState(
-            0.0, phi, Field.constant(grid, 0.0), convolve(kernel, phi), np.fft.rfftn(phi.values), 0.0, 0
-        )
+        st = SimState(0.0, phi, np.fft.rfftn(phi.values), 0.0, 0)
         st2 = step(st, cfg, kernel, p)
         assert np.all(st2.phi.values == 0.3)
-        assert np.ptp(st2.mu.values) == 0.0
+        assert np.ptp(chemical_potential(st2.phi, kernel, p)[0].values) == 0.0
         assert st2.last_inner_iters == 1
 
     def test_mean_invariant_each_step(self, setup_small):
@@ -248,7 +249,7 @@ class TestMixedInnerSolve:
         )
         assert 1.0 - lp_norm(st.phi, np.inf) < 0.05  # near the pure phases
         cfg = StepperConfig(dt=1e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
-        solved, iters = _attempt_inner_solve(st, cfg.dt, cfg, kernel, p)
+        solved, _, iters = _attempt_inner_solve(st, cfg.dt, cfg, kernel, p)
         assert solved is not None
         ref = picard_reference(st.phi.values, cfg.dt, kernel, p)
         assert np.max(np.abs(solved - ref)) <= 1e-9
@@ -285,7 +286,7 @@ class TestMixedInnerSolve:
             InitialData(mode="constant", m=0.3, noise_amplitude=0.2, seed=11),
         )
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
-        solved, iters = _attempt_inner_solve(st, cfg.dt, cfg, kernel, p)
+        solved, _, iters = _attempt_inner_solve(st, cfg.dt, cfg, kernel, p)
         assert solved is not None and iters > 1
         assert abs(solved.mean() - st.phi.values.mean()) <= 1e-14
 
@@ -314,10 +315,10 @@ def count_attempts(monkeypatch):
     attempt = dynamics_module._attempt_inner_solve
 
     def counting(state, dt, cfg, kernel, p, guess=None):
-        solved, info = attempt(state, dt, cfg, kernel, p, guess)
+        solved, solved_hat, info = attempt(state, dt, cfg, kernel, p, guess)
         counts["rejected"] += solved is None
         counts["warm"].append(guess is not None)
-        return solved, info
+        return solved, solved_hat, info
 
     monkeypatch.setattr(dynamics_module, "_attempt_inner_solve", counting)
     return counts
@@ -476,8 +477,7 @@ class TestWarmStart:
 
 def state_arrays(st):
     """Every array a state holds, history entries included, by name."""
-    arrays = {"phi": st.phi.values, "mu": st.mu.values, "j_phi": st.j_phi.values,
-              "phi_hat": st.phi_hat}
+    arrays = {"phi": st.phi.values, "phi_hat": st.phi_hat}
     arrays.update({f"history{k}": values for k, (_, values) in enumerate(st.history)})
     return arrays
 
@@ -537,6 +537,66 @@ class TestWorkspace:
                 assert np.array_equal(values, state_arrays(want)[name]), name
             assert got.last_inner_iters == want.last_inner_iters
             assert got.dissipation_accum == want.dissipation_accum
+
+
+class TestSpectralTail:
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32), (3, 16)])
+    def test_carried_spectrum_matches_a_fresh_transform(self, dim, n):
+        grid = Grid(dim, n, 4.0)
+        kernel, p = strong_segregation(grid)
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        st = mid_run_state(grid, kernel, p, cfg, 5)
+        assert st.last_inner_iters > 1
+        scale = np.max(np.abs(st.phi_hat))
+        assert np.max(np.abs(st.phi_hat - np.fft.rfftn(st.phi.values))) <= 1e-13 * scale
+
+    def test_halved_final_candidate_is_transformed_again(self, setup_small, monkeypatch):
+        grid, kernel, p = setup_small
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=400)
+        st = mid_run_state(grid, kernel, p, cfg, 5)
+        attempt = dynamics_module._attempt_inner_solve
+
+        def halved(state, dt, cfg, kernel, p, guess=None):
+            # what the solve reports when its final candidate was halved
+            solved, _, info = attempt(state, dt, cfg, kernel, p, guess)
+            return solved, None, info
+
+        monkeypatch.setattr(dynamics_module, "_attempt_inner_solve", halved)
+        st2 = step(st, cfg, kernel, p)
+        assert np.array_equal(st2.phi_hat, np.fft.rfftn(st2.phi.values))
+        assert not st2.phi_hat.flags.writeable
+
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+    def test_dissipation_is_the_h1_seminorm_of_mu(self, dim, n):
+        grid = Grid(dim, n, 4.0)
+        kernel, p = strong_segregation(grid)
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        st = mid_run_state(grid, kernel, p, cfg, 5)
+        st2 = step(st, cfg, kernel, p)
+        mu, _ = chemical_potential(st2.phi, kernel, p)
+        expected = st2.last_dt * h1_seminorm_sq(mu)
+        increment = st2.dissipation_accum - st.dissipation_accum
+        assert increment == pytest.approx(expected, rel=1e-12)
+
+    def test_step_makes_one_transform_after_the_solve(self, monkeypatch):
+        grid = Grid(2, 32, 4.0)
+        kernel, p = strong_segregation(grid)
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        st = mid_run_state(grid, kernel, p, cfg, 5)
+        counts = count_attempts(monkeypatch)
+        transforms = []
+        for name in ("rfftn", "irfftn"):
+            fft = getattr(np.fft, name)
+
+            def counted(*args, _fft=fft, _name=name, **kwargs):
+                transforms.append(_name)
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        st2 = step(st, cfg, kernel, p)
+        assert counts["rejected"] == 0 and st2.last_inner_iters > 1
+        assert len(transforms) == 2 * st2.last_inner_iters + 1
+        assert transforms.count("rfftn") == st2.last_inner_iters + 1
 
 
 class TestRun:

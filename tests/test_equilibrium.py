@@ -17,7 +17,8 @@ from nlch import (
     run,
     solve_stationary,
 )
-from nlch.equilibrium import mass_of_mu
+import nlch.potential as potential_module
+from nlch.equilibrium import _solve_mu, mass_of_mu
 
 from conftest import gaussian_amplitude
 
@@ -107,6 +108,28 @@ class TestMuBisection:
         vals = [mass_of_mu(conv, p, mu) for mu in mus]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[0] > -1.0 and vals[-1] < 1.0
+
+
+class TestMuNewton:
+    @pytest.mark.parametrize("m", [-0.9, 0.0, 0.35, 0.99])
+    def test_mass_constraint_in_a_few_evaluations(self, setup, monkeypatch, m):
+        grid, kernel, p = setup
+        conv = np.random.default_rng(3).uniform(-2, 2, grid.shape)
+        evaluations = []
+        inverse = potential_module.inverse_derivative
+
+        def counted(pp, w):
+            evaluations.append(w)
+            return inverse(pp, w)
+
+        monkeypatch.setattr(potential_module, "inverse_derivative", counted)
+        mu = _solve_mu(conv, p, m)
+        assert len(evaluations) <= 16  # two bracket checks, then Newton; bisection takes ~55
+        monkeypatch.undo()
+        assert abs(mass_of_mu(conv, p, mu) - m) <= 2e-16
+        # mu sits on the root: a neighbour one part in 1e-14 away misses m
+        assert mass_of_mu(conv, p, mu - 1e-14 * max(1.0, abs(mu))) < m
+        assert mass_of_mu(conv, p, mu + 1e-14 * max(1.0, abs(mu))) > m
 
 
 class TestMonitorConvergence:
