@@ -5,8 +5,8 @@ A stationary state solves F'(phi) - J*phi = mu with a scalar mu.  The solver
 iterates the inverse-derivative form phi <- tanh((J*phi + mu)/alpha), which
 keeps iterates strictly inside (-1, 1) by construction; mu is re-solved every
 sweep, by a bracketed Newton iteration on the scalar mass map, so the iterate
-mean matches the prescribed mass.  Stationary states are
-not unique in general: the solver returns the one selected by the guess.
+mean matches the prescribed mass.  Stationary states are not unique in
+general: the solver returns the one selected by the guess.
 """
 
 from __future__ import annotations

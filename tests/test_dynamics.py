@@ -16,7 +16,6 @@ from nlch import (
     StepperConfig,
     build_kernel,
     chemical_potential,
-    convolve,
     energy,
     h1_seminorm_sq,
     init_state,
