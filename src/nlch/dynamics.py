@@ -36,22 +36,35 @@ and the step retried; below dt_min the step fails with the last increment.
 The mean is restored after each accepted step to absorb transform roundoff.
 
 Warm start.  Strict separation makes the trajectory smooth in time, so each
-solve starts from the Lagrange extrapolant at t* = t + dt through the current
-state and up to EXTRAPOLATION_ORDER earlier accepted states (kept on the state
-as `history`, newest first), which is O(dt^4) from the answer where phi^n is
-O(dt) from it.  With nodes t_j the weights are
+solve starts from a Lagrange extrapolant at t* = t + dt through the current
+state and earlier accepted states (the last HISTORY_DEPTH = 5 of them are kept
+on the state as `history`, newest first, as references to their own arrays).
+The cubic, through four nodes, is O(dt^4) from the answer where phi^n is O(dt)
+from it.  With nodes t_j the weights are
 
     w_j = prod_{i != j} (t* - t_i) / (t_j - t_i),   sum_j w_j = 1,
 
 so unequal steps (dt halvings, the last step clipped to t_end) need no special
-case and the mean is kept.  The guess only moves where the iteration starts:
-the fixed point, the stopping rule and the guard are those above.  Two cases
-start from phi^n instead.  A guess outside max|phi| <= 1 - eps_safe would put
-F' out of bounds.  And when the last step moved no more than the solve noise
-the extrapolant amplifies, sup|phi^n - phi^{n-1}| <= Lambda * inner_tol with
-the Lebesgue constant Lambda = sum_j |w_j| (15 for cubic at equal dt), the
-extrapolant is noise: near equilibrium it would inject ~Lambda * inner_tol of
-it into every step.
+case and the mean is kept.  The order is chosen per step.  When all six nodes
+are equally spaced (to 1e-12 relative) and t* lies one full step ahead, the
+backward differences estimate each extrapolant's error: the cubic's is
+|P_4 - P_3| = |del^4 phi^n| (weights 1, -4, 6, -4, 1) and the quartic's is
+|P_5 - P_4| = |del^5 phi^n|.  The quartic (EXTRAPOLATION_ORDER) is used iff
+max|del^5| < max|del^4|, both maxima taken on a strided sub-grid (every point
+in 1D up to 256, 8 points per axis in 2D and 3D), so the choice costs a few
+small arrays.  Where the differences stop shrinking, the quartic's larger
+Lebesgue constant would only amplify solve noise, and the cubic is kept.  With
+fewer nodes, a halving in the window or a clipped step, the guess is the cubic
+(or lower, right after init_state).  The guess only moves where the iteration
+starts: the fixed point, the stopping rule and the guard are those above.  Two
+cases start from phi^n instead.  A guess outside max|phi| <= 1 - eps_safe
+would put F' out of bounds.  And when the last step moved no more than the
+solve noise the extrapolant amplifies, sup|phi^n - phi^{n-1}| <= Lambda *
+inner_tol with the chosen order's Lebesgue constant Lambda = sum_j |w_j| (15
+for the cubic and 31 for the quartic at equal dt), the extrapolant is noise:
+near equilibrium it would inject ~Lambda * inner_tol of it into every step.
+The two extra history entries keep two more earlier phi arrays alive than a
+cubic-only history would: 0.26 MB at 128^2, 4 MB at 64^3.
 
 Scratch.  step runs out of one private workspace per grid (lru-cached on the
 Grid, up to four grids), which every attempt of every step overwrites: the
@@ -95,7 +108,13 @@ from .snapshots import read_snapshot
 
 MAX_UPDATE_HALVINGS = 30
 ANDERSON_DEPTH = 5
-EXTRAPOLATION_ORDER = 3
+EXTRAPOLATION_ORDER = 4  # the warm start's highest order; else one below it
+HISTORY_DEPTH = EXTRAPOLATION_ORDER + 1  # earlier states the order choice reads
+ORDER_SAMPLE_POINTS = (256, 8, 8)  # per axis in 1D, 2D, 3D: where the choice looks
+# rows: the EXTRAPOLATION_ORDER-th and the next backward difference at the
+# newest of HISTORY_DEPTH + 1 nodes (newest first)
+_DIFFERENCES = np.diff(np.eye(HISTORY_DEPTH + 1), n=EXTRAPOLATION_ORDER, axis=0)
+_DIFFERENCES[1] = _DIFFERENCES[0] - _DIFFERENCES[1]
 
 
 class StepError(RuntimeError):
@@ -117,8 +136,15 @@ class StepperConfig:
     def __post_init__(self) -> None:
         if not (self.dt >= self.dt_min > 0.0):
             raise ValueError(f"require dt >= dt_min > 0, got dt={self.dt}, dt_min={self.dt_min}")
-        if not (0.0 < self.safety_margin < 1e-6):
-            raise ValueError(f"safety_margin must lie in (0, 1e-6), got {self.safety_margin}")
+        # the guard's bound 1 - safety_margin, as rounded, must keep F' and F''
+        # evaluable: 1 - bound >= SEPARATION_FLOOR (1e-15 itself rounds below)
+        if not (1.0 - (1.0 - self.safety_margin) >= pot.SEPARATION_FLOOR
+                and self.safety_margin < 1e-6):
+            raise ValueError(
+                f"safety_margin must be below 1e-6 with 1 - (1 - safety_margin) at "
+                f"least the potential's floor {pot.SEPARATION_FLOOR:.0e}, "
+                f"got {self.safety_margin}"
+            )
         if not self.inner_tol > 0.0:
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
         if self.inner_max_iters < 1:
@@ -165,7 +191,7 @@ class SimState:
     step_count: int
     last_inner_iters: int = 0
     last_dt: float = 0.0
-    # (t, phi values) of up to EXTRAPOLATION_ORDER earlier accepted states,
+    # (t, phi values) of up to HISTORY_DEPTH earlier accepted states,
     # newest first: the warm start's extra nodes
     history: tuple[tuple[float, np.ndarray], ...] = ()
 
@@ -277,7 +303,7 @@ def _attempt_inner_solve(
         np.subtract(r_hat, g_hat, out=g_hat)
         np.multiply(lam, dt_k2, out=helmholtz)
         helmholtz += 1.0
-        g_hat /= helmholtz
+        g_hat *= np.reciprocal(helmholtz, out=helmholtz)
         g = irfft(grid, g_hat, out=ws.g[it % 2])
         f = np.subtract(g, phi, out=ws.f[it % 2])
         residual = max_abs(f)  # sup norm of the Picard increment
@@ -318,15 +344,37 @@ def _attempt_inner_solve(
     return None, None, residual
 
 
-def _lagrange_weights(nodes: np.ndarray, t_star: float) -> np.ndarray:
+def _lagrange_weights(nodes, t_star: float) -> list[float]:
     """Weights w_j with sum_j w_j f(t_j) = P(t_star) for the interpolating
     polynomial P of degree len(nodes) - 1."""
-    w = np.ones(len(nodes))
+    w = []
     for j, t_j in enumerate(nodes):
+        w_j = 1.0
         for i, t_i in enumerate(nodes):
             if i != j:
-                w[j] *= (t_star - t_i) / (t_j - t_i)
+                w_j *= (t_star - t_i) / (t_j - t_i)
+        w.append(w_j)
     return w
+
+
+def _top_order_pays(nodes: tuple[tuple[float, np.ndarray], ...], t_star: float) -> bool:
+    """Whether the EXTRAPOLATION_ORDER extrapolant beats the one below it.
+    Only on HISTORY_DEPTH + 1 nodes equally spaced (to 1e-12 relative) with
+    t_star one full step ahead: there the lower order misses by about the
+    EXTRAPOLATION_ORDER-th backward difference at the newest node and the top
+    order by the next one, compared in sup norm on a strided sub-grid."""
+    h = t_star - nodes[0][0]
+    t_prev = t_star
+    for t, _ in nodes:
+        if abs(t_prev - t - h) > 1e-12 * h:
+            return False
+        t_prev = t
+    shape = nodes[0][1].shape
+    per_axis = ORDER_SAMPLE_POINTS[len(shape) - 1]
+    sub = tuple(slice(None, None, max(1, n // per_axis)) for n in shape)
+    sample = np.array([values[sub] for _, values in nodes]).reshape(len(nodes), -1)
+    lower, top = np.abs(np.einsum("ij,jk->ik", _DIFFERENCES, sample)).max(axis=1)
+    return bool(top < lower)
 
 
 def _warm_start(
@@ -339,12 +387,16 @@ def _warm_start(
     """The extrapolant at t_star through nodes (current state first), or None
     to start from phi^n: too few nodes, a last move sup|phi^n - phi^{n-1}|
     within the noise the weights amplify, or a guess outside the bound.  The
-    guess is written into out; tmp is scratch."""
+    order is EXTRAPOLATION_ORDER where _top_order_pays, else one below it (or
+    fewer with fewer nodes).  The guess is written into out; tmp is scratch."""
     if len(nodes) < 2:
         return None
-    w = _lagrange_weights(np.array([t for t, _ in nodes]), t_star)
+    order = EXTRAPOLATION_ORDER - 1
+    if len(nodes) == HISTORY_DEPTH + 1 and _top_order_pays(nodes, t_star):
+        order = EXTRAPOLATION_ORDER
+    w = _lagrange_weights([t for t, _ in nodes[: order + 1]], t_star)
     last_move = max_abs(np.subtract(nodes[0][1], nodes[1][1], out=tmp))
-    if last_move <= float(np.sum(np.abs(w))) * cfg.inner_tol:
+    if last_move <= sum(abs(w_j) for w_j in w) * cfg.inner_tol:
         return None
     guess = np.multiply(w[0], nodes[0][1], out=out)
     for w_j, (_, values) in zip(w[1:], nodes[1:]):
@@ -405,7 +457,7 @@ def step(
         step_count=state.step_count + 1,
         last_inner_iters=iters,
         last_dt=dt_try,
-        history=nodes[:EXTRAPOLATION_ORDER],
+        history=nodes[:HISTORY_DEPTH],
     )
 
 

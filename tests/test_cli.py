@@ -225,6 +225,12 @@ class TestExitCodes:
         assert main(["simulate", str(bad)]) == 1
         assert "error: config:" in capsys.readouterr().err
 
+    def test_epsilon_safe_below_the_potential_floor_is_one(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out", extra="stepper.epsilon_safe = 1e-16\n")
+        assert main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error: config:" in err and "safety_margin" in err
+
     def test_missing_config_file_is_three(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.conf")]) == 3
         assert "error: io:" in capsys.readouterr().err

@@ -29,7 +29,7 @@ from nlch import (
 import nlch.dynamics as dynamics_module
 import nlch.potential as potential_module
 from nlch.dynamics import (
-    EXTRAPOLATION_ORDER,
+    HISTORY_DEPTH,
     SimState,
     _attempt_inner_solve,
     _lagrange_weights,
@@ -58,6 +58,21 @@ class TestStepperConfig:
     def test_rejects_bad_safety_margin(self):
         with pytest.raises(ValueError, match="safety_margin"):
             StepperConfig(dt=1e-3, dt_min=1e-7, safety_margin=1e-3)
+
+    @pytest.mark.parametrize("margin", [1e-16, 1e-15])
+    def test_rejects_safety_margin_below_the_potential_floor(self, margin):
+        # 1 - (1 - 1e-15) is 9.99e-16 in float64, under SEPARATION_FLOOR
+        with pytest.raises(ValueError, match="safety_margin"):
+            StepperConfig(dt=1e-3, dt_min=1e-7, safety_margin=margin)
+
+    def test_smallest_margin_keeps_the_potential_floor(self, setup_small):
+        # a guess parked on the guard's bound: F' and F'' must stay evaluable
+        grid, kernel, p = setup_small
+        cfg = StepperConfig(dt=1e-3, dt_min=1e-7, safety_margin=1.1e-15)
+        st = init_state(grid, kernel, p, InitialData(mode="tanh", m=0.0, noise_amplitude=0.9))
+        guess = st.phi.values.copy()
+        guess[np.argmax(guess)] = 1.0 - cfg.safety_margin
+        _attempt_inner_solve(st, cfg.dt, cfg, kernel, p, guess)  # no PotentialDomainError
 
 
 class TestInitState:
@@ -350,7 +365,7 @@ class TestWarmStart:
             return sum(c * t**k for k, c in enumerate(coeffs))
 
         w = _lagrange_weights(times, t_star)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sum(w) == pytest.approx(1.0, abs=1e-12)
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12)
         guess = _warm_start(tuple((t, f(t)) for t in times), t_star, cfg, *scratch(x))
         assert np.max(np.abs(guess - f(t_star))) <= 1e-13
@@ -375,7 +390,7 @@ class TestWarmStart:
         kernel, p = strong_segregation(grid)
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
         st = mid_run_state(grid, kernel, p, cfg, 30)
-        assert len(st.history) == EXTRAPOLATION_ORDER
+        assert len(st.history) == HISTORY_DEPTH
         warm = step(st, cfg, kernel, p)
         cold = step(dataclasses.replace(st, history=()), cfg, kernel, p)
         assert np.max(np.abs(warm.phi.values - cold.phi.values)) <= 1e-9
@@ -470,8 +485,91 @@ class TestWarmStart:
         )
         assert out.step_count == 17
         assert out.last_dt == pytest.approx(2.5e-3)
-        assert len(out.history) == EXTRAPOLATION_ORDER
+        assert len(out.history) == HISTORY_DEPTH
         assert series.rows[-1].t == pytest.approx(0.0505)
+
+
+def equal_step_nodes(f, h=3e-3, t0=0.1, count=HISTORY_DEPTH + 1):
+    """(t, f(t)) at t0, t0 - h, ..., newest first."""
+    return tuple((t0 - k * h, f(t0 - k * h)) for k in range(count))
+
+
+class TestWarmStartOrder:
+    x = np.linspace(0.0, 1.0, 16)
+    cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12)
+
+    def quartic(self, t, c4=1e-3):
+        s = (t - 0.1) / 3e-3  # in steps from the newest node
+        x = self.x
+        return (
+            0.1 * np.sin(2 * np.pi * x) + 0.01 * s * x - 1e-3 * s**2 * x**2
+            + 1e-4 * s**3 + c4 * s**4 * np.cos(x)
+        )
+
+    def cubic_guess(self, nodes, t_star):
+        """The 4-node extrapolant, the order below the top."""
+        return _warm_start(nodes[:4], t_star, self.cfg, *scratch(self.x))
+
+    def test_quartic_field_on_equal_steps_is_extrapolated_exactly(self):
+        nodes = equal_step_nodes(self.quartic)
+        t_star = 0.1 + 3e-3
+        guess = _warm_start(nodes, t_star, self.cfg, *scratch(self.x))
+        assert np.max(np.abs(guess - self.quartic(t_star))) <= 1e-13
+        # the cubic misses by the fourth difference, 24 c4 cos(x)
+        assert np.max(np.abs(self.cubic_guess(nodes, t_star) - self.quartic(t_star))) > 1e-2
+
+    def test_alternating_noise_picks_the_cubic(self):
+        # +-eps on alternate nodes: |del^5| = 32 eps > |del^4| = 16 eps
+        def noisy(t):
+            k = round((0.1 - t) / 3e-3)
+            return self.quartic(t, c4=0.0) + (-1) ** k * 1e-6 * np.cos(3 * self.x)
+
+        nodes = equal_step_nodes(noisy)
+        t_star = 0.1 + 3e-3
+        guess = _warm_start(nodes, t_star, self.cfg, *scratch(self.x))
+        assert np.array_equal(guess, self.cubic_guess(nodes, t_star))
+
+    def test_unequal_window_gives_the_cubic_bit_for_bit(self):
+        t_star = 0.1 + 3e-3
+        halved = tuple(
+            (t, self.quartic(t)) for t in (0.1, 0.0985, 0.097, 0.094, 0.091, 0.088)
+        )
+        equal = equal_step_nodes(self.quartic)
+        for nodes, t in ((halved, t_star), (equal, 0.1 + 2.5e-3)):  # a halving; a clipped step
+            guess = _warm_start(nodes, t, self.cfg, *scratch(self.x))
+            assert np.array_equal(guess, self.cubic_guess(nodes, t))
+            assert np.max(np.abs(guess - self.quartic(t))) > 1e-3
+
+    def test_lebesgue_gate_of_the_quartic(self):
+        # constant fields with a small quartic trend, so the quartic is
+        # chosen; its weights 5, -10, 10, -5, 1 give Lambda = 31
+        cfg = StepperConfig(dt=1e-2, dt_min=1e-7, inner_tol=1e-10)
+        c4 = 1e-13
+
+        def nodes(move):
+            def f(t):
+                s = t / 0.01
+                return np.full(8, 0.2 + (move + c4) * s + c4 * s**4)
+
+            return equal_step_nodes(f, h=0.01, t0=0.0)
+
+        w = _lagrange_weights([t for t, _ in nodes(0.0)[:5]], 0.01)
+        assert np.allclose(w, [5.0, -10.0, 10.0, -5.0, 1.0])
+        buffers = scratch(np.empty(8))
+        assert _warm_start(nodes(30 * cfg.inner_tol), 0.01, cfg, *buffers) is None
+        guess = _warm_start(nodes(32 * cfg.inner_tol), 0.01, cfg, *buffers)
+        assert guess is not None
+        assert np.max(np.abs(guess - (0.2 + 32 * cfg.inner_tol + 2 * c4))) <= 1e-15
+
+    def test_history_ramps_to_its_depth(self, setup_small):
+        grid, kernel, p = setup_small
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=400)
+        st = mid_run_state(grid, kernel, p, cfg, 0)
+        depths = [len(st.history)]
+        for _ in range(HISTORY_DEPTH + 2):
+            st = step(st, cfg, kernel, p)
+            depths.append(len(st.history))
+        assert depths == [0, 1, 2, 3, 4, 5, 5, 5] and HISTORY_DEPTH == 5
 
 
 def state_arrays(st):
@@ -496,7 +594,7 @@ class TestWorkspace:
         for _ in range(5):
             states.append(step(states[-1], cfg, kernel, p))
             saved.append({k: v.copy() for k, v in state_arrays(states[-1]).items()})
-        assert states[-1].last_inner_iters > 2 and len(states[-1].history) == EXTRAPOLATION_ORDER
+        assert states[-1].last_inner_iters > 2 and len(states[-1].history) == HISTORY_DEPTH
         for st, before in zip(states, saved):
             for name, values in state_arrays(st).items():
                 assert np.array_equal(values, before[name]), name
@@ -596,6 +694,26 @@ class TestSpectralTail:
         assert counts["rejected"] == 0 and st2.last_inner_iters > 1
         assert len(transforms) == 2 * st2.last_inner_iters + 1
         assert transforms.count("rfftn") == st2.last_inner_iters + 1
+
+
+    def test_step_calls_f_prime_once_per_iteration_and_once_after(self, monkeypatch):
+        # the benchmark reads inner iterations over all attempts off these calls
+        grid = Grid(2, 32, 4.0)
+        kernel, p = strong_segregation(grid)
+        cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        st = mid_run_state(grid, kernel, p, cfg, HISTORY_DEPTH + 2)
+        counts = count_attempts(monkeypatch)
+        calls = []
+        derivative = potential_module.derivative
+
+        def counted(pp, s, out=None):
+            calls.append(out is not None)
+            return derivative(pp, s, out)
+
+        monkeypatch.setattr(potential_module, "derivative", counted)
+        st2 = step(st, cfg, kernel, p)
+        assert counts["rejected"] == 0 and st2.last_dt == cfg.dt
+        assert len(calls) == st2.last_inner_iters + 1
 
 
 class TestRun:
