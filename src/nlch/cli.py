@@ -79,17 +79,13 @@ def _fmt(x: float) -> str:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    grid = cfg.make_grid()
-    kernel = cfg.make_kernel(grid)
-    p = cfg.make_potential()
-    stepper = cfg.make_stepper()
-    state = dyn.init_state(grid, kernel, p, cfg.make_initial())
+    state = dyn.init_state(cfg.grid, cfg.kernel, cfg.potential, cfg.initial)
 
     outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "timeseries.csv"
 
-    monitors = dyn.standard_monitors(mean(state.phi), stepper)
+    monitors = dyn.standard_monitors(mean(state.phi), cfg.stepper)
     with open(csv_path, "w", encoding="utf-8") as handle:
         handle.write(diag.csv_header() + "\n")
 
@@ -102,9 +98,9 @@ def _cmd_simulate(args) -> int:
         state, series = dyn.run(
             state,
             cfg.run.t_end,
-            stepper,
-            kernel,
-            p,
+            cfg.stepper,
+            cfg.kernel,
+            cfg.potential,
             monitors=monitors,
             diag_stride=cfg.output.csv_stride,
             snapshot_stride=cfg.output.snapshot_stride,
@@ -123,9 +119,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     cfg = load_config(args.config)
-    grid = cfg.make_grid()
-    kernel = cfg.make_kernel(grid)
-    p = cfg.make_potential()
+    grid, kernel, p = cfg.grid, cfg.kernel, cfg.potential
     if args.guess is not None:
         guess, _ = snap.read_snapshot(args.guess, expected_grid=grid)
         m = mean(guess)
@@ -153,9 +147,7 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_degiorgi(args) -> int:
     cfg = load_config(args.config)
-    grid = cfg.make_grid()
-    kernel = cfg.make_kernel(grid)
-    p = cfg.make_potential()
+    grid, kernel, p = cfg.grid, cfg.kernel, cfg.potential
     snaps = snap.read_snapshot_dir(args.snapshots, expected_grid=grid)
     window = cfg.degiorgi.window if cfg.degiorgi.window > 0.0 else None
     if window is not None:
@@ -217,13 +209,10 @@ def _cmd_degiorgi(args) -> int:
 
 def _cmd_constants(args) -> int:
     cfg = load_config(args.config)
-    grid = cfg.make_grid()
-    kernel = cfg.make_kernel(grid)
-    p = cfg.make_potential()
     params = dg.DeGiorgiParams(
         delta=args.delta,
-        alpha_bar=p.alpha_bar,
-        grad_j_l1=kernel.grad_j_l1,
+        alpha_bar=cfg.potential.alpha_bar,
+        grad_j_l1=cfg.kernel.grad_j_l1,
         c_hat=args.c_hat,
         c_p=args.c_p,
         c_tau=args.c_tau,
@@ -254,13 +243,12 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_potential_check(args) -> int:
     cfg = load_config(args.config)
-    p = cfg.make_potential()
     try:
         deltas = [float(part) for part in args.deltas.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"--deltas: {exc}") from exc
     try:
-        report = pot.check_endpoint_asymptotics(p, deltas)
+        report = pot.check_endpoint_asymptotics(cfg.potential, deltas)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(f"curvature_target = {_fmt(report.curvature_target)}")

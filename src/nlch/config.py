@@ -1,19 +1,25 @@
 """Run configuration: flat `section.key = value` text, `#` comments.
 
-Unknown keys are rejected, defaults fill omitted optional keys, and every
-cross-field constraint of the owning modules is re-validated at parse time so
-bad runs fail before any numerics start.  serialize_config emits the resolved
-canonical form; parse(serialize(parse(text))) is a fixed point.
+parse_config builds the objects a run uses, once: RunConfig holds the Grid,
+the Kernel, the PotentialParams, the InitialData and the StepperConfig, plus
+plain output/run/degiorgi records.  One table, _KEYS, maps each file key to
+its converter, its default and the field it fills; every check lives in the
+class that owns the data, and its ValueError comes back as a ConfigError
+naming the section, so bad runs fail before any numerics start.  Unknown keys
+are rejected.  serialize_config reads the same table back off the objects and
+emits the resolved canonical form; parse(serialize(parse(text))) is a fixed
+point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import InitialData, StepperConfig
 from .grid import Grid
-from .kernels import FAMILIES, Kernel, build_kernel
+from .kernels import Kernel, build_kernel
 from .potential import PotentialParams
 
 
@@ -21,44 +27,9 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GridSection:
-    dim: int
-    n: int
-    edge_length: float
-
-
-@dataclass(frozen=True)
-class KernelSection:
-    family: str
-    amplitude: float
-    width: float | None
-    molli_radius: float | None
-
-
-@dataclass(frozen=True)
-class PotentialSection:
-    alpha_bar: float
-    alpha0: float
-
-
-@dataclass(frozen=True)
-class InitialSection:
-    mode: str
-    m: float
-    noise_amplitude: float
-    seed: int
-    delta0: float
-    snapshot: str | None
-
-
-@dataclass(frozen=True)
-class StepperSection:
-    dt: float
-    dt_min: float
-    inner_tol: float
-    inner_max_iters: int
-    epsilon_safe: float
+def _require(ok: bool, key: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(f"key {key}: {message}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +38,17 @@ class OutputSection:
     snapshot_stride: int
     csv_stride: int
 
+    def __post_init__(self) -> None:
+        _require(self.snapshot_stride >= 0, "output.snapshot_stride", "must be >= 0")
+        _require(self.csv_stride >= 1, "output.csv_stride", "must be >= 1")
+
 
 @dataclass(frozen=True)
 class RunSection:
     t_end: float
+
+    def __post_init__(self) -> None:
+        _require(self.t_end >= 0.0, "run.t_end", "must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -79,123 +57,95 @@ class DeGiorgiSection:
     n_max: int
     window: float
 
+    def __post_init__(self) -> None:
+        _require(0.0 < self.delta < 0.25, "degiorgi.delta",
+                 f"must lie in (0, 1/4), got {self.delta}")
+        _require(self.n_max >= 0, "degiorgi.n_max", "must be >= 0")
+        _require(self.window >= 0.0, "degiorgi.window",
+                 "must be >= 0 (0 means the full snapshot span)")
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid: GridSection
-    kernel: KernelSection
-    potential: PotentialSection
-    initial: InitialSection
-    stepper: StepperSection
+    grid: Grid
+    kernel: Kernel
+    potential: PotentialParams
+    initial: InitialData
+    stepper: StepperConfig
     output: OutputSection
     run: RunSection
     degiorgi: DeGiorgiSection
 
-    def make_grid(self) -> Grid:
-        return Grid(self.grid.dim, self.grid.n, self.grid.edge_length)
 
-    def make_kernel(self, grid: Grid) -> Kernel:
-        return build_kernel(
-            self.kernel.family,
-            grid,
-            amplitude=self.kernel.amplitude,
-            width=self.kernel.width,
-            molli_radius=self.kernel.molli_radius,
-        )
+def _kernel(family, amplitude, width, molli_radius, grid: Grid) -> Kernel:
+    # the family's own scale defaults to a fraction of the box
+    if family in ("gaussian", "exponential") and width is None:
+        width = grid.edge_length / 8.0
+    if family == "mollified_newtonian" and molli_radius is None:
+        molli_radius = max(grid.edge_length / 16.0, 2.0 * grid.spacing)
+    return build_kernel(family, grid, amplitude=amplitude, width=width,
+                        molli_radius=molli_radius)
 
-    def make_potential(self) -> PotentialParams:
-        return PotentialParams(self.potential.alpha_bar, self.potential.alpha0)
 
-    def make_initial(self) -> InitialData:
-        return InitialData(
-            mode=self.initial.mode,
-            m=self.initial.m,
-            noise_amplitude=self.initial.noise_amplitude,
-            seed=self.initial.seed,
-            delta0=self.initial.delta0,
-            snapshot_path=self.initial.snapshot,
-        )
+def _potential(alpha_bar, alpha0) -> PotentialParams:
+    return PotentialParams(alpha_bar, 2.0 * alpha_bar if alpha0 is None else alpha0)
 
-    def make_stepper(self) -> StepperConfig:
-        return StepperConfig(
-            dt=self.stepper.dt,
-            dt_min=self.stepper.dt_min,
-            inner_tol=self.stepper.inner_tol,
-            inner_max_iters=self.stepper.inner_max_iters,
-            safety_margin=self.stepper.epsilon_safe,
-        )
 
+# section -> what builds its object from the fields below
+_BUILDERS = {
+    "grid": Grid,
+    "kernel": _kernel,
+    "potential": _potential,
+    "initial": InitialData,
+    "stepper": StepperConfig,
+    "output": OutputSection,
+    "run": RunSection,
+    "degiorgi": DeGiorgiSection,
+}
 
 _REQUIRED = object()
 
-# section -> key -> (converter, default)
-_SCHEMA = {
-    "grid": {
-        "dim": (int, _REQUIRED),
-        "n": (int, _REQUIRED),
-        "edge_length": (float, _REQUIRED),
-    },
-    "kernel": {
-        "family": (str, _REQUIRED),
-        "amplitude": (float, 1.0),
-        "width": (float, None),
-        "molli_radius": (float, None),
-    },
-    "potential": {
-        "alpha_bar": (float, _REQUIRED),
-        "alpha0": (float, None),
-    },
-    "initial": {
-        "mode": (str, "constant"),
-        "m": (float, 0.0),
-        "noise_amplitude": (float, 0.0),
-        "seed": (int, 0),
-        "delta0": (float, 0.05),
-        "snapshot": (str, None),
-    },
-    "stepper": {
-        "dt": (float, 1e-3),
-        "dt_min": (float, 1e-7),
-        "inner_tol": (float, 1e-10),
-        "inner_max_iters": (int, 200),
-        "epsilon_safe": (float, 1e-12),
-    },
-    "output": {
-        "directory": (str, "out"),
-        "snapshot_stride": (int, 0),
-        "csv_stride": (int, 1),
-    },
-    "run": {
-        "t_end": (float, _REQUIRED),
-    },
-    "degiorgi": {
-        "delta": (float, 0.05),
-        "n_max": (int, 8),
-        "window": (float, 0.0),
-    },
+# file key -> (converter, default, the field it fills)
+_KEYS = {
+    "grid.dim": (int, _REQUIRED, "dim"),
+    "grid.n": (int, _REQUIRED, "n_per_axis"),
+    "grid.edge_length": (float, _REQUIRED, "edge_length"),
+    "kernel.family": (str, _REQUIRED, "family"),
+    "kernel.amplitude": (float, 1.0, "amplitude"),
+    "kernel.width": (float, None, "width"),
+    "kernel.molli_radius": (float, None, "molli_radius"),
+    "potential.alpha_bar": (float, _REQUIRED, "alpha_bar"),
+    "potential.alpha0": (float, None, "alpha0"),
+    "initial.mode": (str, "constant", "mode"),
+    "initial.m": (float, 0.0, "m"),
+    "initial.noise_amplitude": (float, 0.0, "noise_amplitude"),
+    "initial.seed": (int, 0, "seed"),
+    "initial.delta0": (float, 0.05, "delta0"),
+    "initial.snapshot": (str, None, "snapshot_path"),
+    "stepper.dt": (float, 1e-3, "dt"),
+    "stepper.dt_min": (float, 1e-7, "dt_min"),
+    "stepper.inner_tol": (float, 1e-10, "inner_tol"),
+    "stepper.inner_max_iters": (int, 200, "inner_max_iters"),
+    "stepper.epsilon_safe": (float, 1e-12, "safety_margin"),
+    "output.directory": (str, "out", "directory"),
+    "output.snapshot_stride": (int, 0, "snapshot_stride"),
+    "output.csv_stride": (int, 1, "csv_stride"),
+    "run.t_end": (float, _REQUIRED, "t_end"),
+    "degiorgi.delta": (float, 0.05, "delta"),
+    "degiorgi.n_max": (int, 8, "n_max"),
+    "degiorgi.window": (float, 0.0, "window"),
 }
 
-
-def _parse_value(conv, raw: str, key: str, lineno: int):
-    try:
-        if conv is int:
-            return int(raw)
-        if conv is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: key {key}: {exc}") from exc
+# a comment starts at a '#' that opens the line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config(text: str) -> RunConfig:
-    values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
-    seen: set[str] = set()
+    values: dict[str, object] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.split(rawline, maxsplit=1)[0].strip()
+        if not line:
             continue
-        if " #" in line:
-            line = line.split(" #", 1)[0].rstrip()
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {rawline!r}")
         key_part, _, value_part = line.partition("=")
@@ -203,161 +153,51 @@ def parse_config(text: str) -> RunConfig:
         raw_value = value_part.strip()
         if "." not in key:
             raise ConfigError(f"line {lineno}: key {key!r} missing a section prefix")
-        section, _, name = key.partition(".")
-        if section not in _SCHEMA or name not in _SCHEMA[section]:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not raw_value:
             raise ConfigError(f"line {lineno}: key {key!r} has an empty value")
-        seen.add(key)
-        conv, _ = _SCHEMA[section][name]
-        values[section][name] = _parse_value(conv, raw_value, key, lineno)
+        try:
+            values[key] = _KEYS[key][0](raw_value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: key {key}: {exc}") from exc
 
-    # defaults and required keys
-    for section, keys in _SCHEMA.items():
-        for name, (_, default) in keys.items():
-            if name in values[section]:
-                continue
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key {section}.{name}")
-            values[section][name] = default
+    fields: dict[str, dict[str, object]] = {section: {} for section in _BUILDERS}
+    for key, (_, default, name) in _KEYS.items():
+        if key not in values and default is _REQUIRED:
+            raise ConfigError(f"missing required key {key}")
+        fields[key.partition(".")[0]][name] = values.get(key, default)
 
-    return _validate(values)
-
-
-def _validate(v: dict[str, dict[str, object]]) -> RunConfig:
-    def fail(key: str, message: str) -> ConfigError:
-        return ConfigError(f"key {key}: {message}")
-
-    g = v["grid"]
-    try:
-        grid = Grid(g["dim"], g["n"], g["edge_length"])
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    k = dict(v["kernel"])
-    if k["family"] not in FAMILIES:
-        raise fail("kernel.family", f"expected one of {FAMILIES}, got {k['family']!r}")
-    if k["family"] in ("gaussian", "exponential") and k["width"] is None:
-        k["width"] = grid.edge_length / 8.0
-    if k["family"] == "mollified_newtonian" and k["molli_radius"] is None:
-        k["molli_radius"] = max(grid.edge_length / 16.0, 2.0 * grid.spacing)
-    kernel_section = KernelSection(
-        family=k["family"],
-        amplitude=k["amplitude"],
-        width=k["width"],
-        molli_radius=k["molli_radius"],
-    )
-    try:
-        build_kernel(
-            kernel_section.family,
-            grid,
-            amplitude=kernel_section.amplitude,
-            width=kernel_section.width,
-            molli_radius=kernel_section.molli_radius,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
-
-    p = dict(v["potential"])
-    if p["alpha0"] is None:
-        p["alpha0"] = 2.0 * p["alpha_bar"]
-    try:
-        PotentialParams(p["alpha_bar"], p["alpha0"])
-    except ValueError as exc:
-        raise ConfigError(f"potential: {exc}") from exc
-    potential_section = PotentialSection(p["alpha_bar"], p["alpha0"])
-
-    i = v["initial"]
-    if abs(i["m"]) >= 1.0:
-        raise fail("initial.m", f"pure phase mean: |m| = {abs(i['m'])} >= 1")
-    initial_section = InitialSection(
-        mode=i["mode"],
-        m=i["m"],
-        noise_amplitude=i["noise_amplitude"],
-        seed=i["seed"],
-        delta0=i["delta0"],
-        snapshot=i["snapshot"],
-    )
-    try:
-        InitialData(
-            mode=initial_section.mode,
-            m=initial_section.m,
-            noise_amplitude=initial_section.noise_amplitude,
-            seed=initial_section.seed,
-            delta0=initial_section.delta0,
-            snapshot_path=initial_section.snapshot,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"initial: {exc}") from exc
-    if initial_section.mode != "snapshot" and initial_section.snapshot is not None:
-        raise fail("initial.snapshot", "only valid with initial.mode = snapshot")
-
-    s = v["stepper"]
-    stepper_section = StepperSection(
-        dt=s["dt"],
-        dt_min=s["dt_min"],
-        inner_tol=s["inner_tol"],
-        inner_max_iters=s["inner_max_iters"],
-        epsilon_safe=s["epsilon_safe"],
-    )
-    try:
-        StepperConfig(
-            dt=stepper_section.dt,
-            dt_min=stepper_section.dt_min,
-            inner_tol=stepper_section.inner_tol,
-            inner_max_iters=stepper_section.inner_max_iters,
-            safety_margin=stepper_section.epsilon_safe,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"stepper: {exc}") from exc
-
-    o = v["output"]
-    if o["snapshot_stride"] < 0:
-        raise fail("output.snapshot_stride", "must be >= 0")
-    if o["csv_stride"] < 1:
-        raise fail("output.csv_stride", "must be >= 1")
-    output_section = OutputSection(o["directory"], o["snapshot_stride"], o["csv_stride"])
-
-    r = v["run"]
-    if r["t_end"] < 0.0:
-        raise fail("run.t_end", "must be nonnegative")
-    run_section = RunSection(r["t_end"])
-
-    d = v["degiorgi"]
-    if not (0.0 < d["delta"] < 0.25):
-        raise fail("degiorgi.delta", f"must lie in (0, 1/4), got {d['delta']}")
-    if d["n_max"] < 0:
-        raise fail("degiorgi.n_max", "must be >= 0")
-    if d["window"] < 0.0:
-        raise fail("degiorgi.window", "must be >= 0 (0 means the full snapshot span)")
-    degiorgi_section = DeGiorgiSection(d["delta"], d["n_max"], d["window"])
-
-    return RunConfig(
-        grid=GridSection(g["dim"], g["n"], g["edge_length"]),
-        kernel=kernel_section,
-        potential=potential_section,
-        initial=initial_section,
-        stepper=stepper_section,
-        output=output_section,
-        run=run_section,
-        degiorgi=degiorgi_section,
-    )
+    built: dict[str, object] = {}
+    for section, build in _BUILDERS.items():
+        if section == "kernel":
+            fields[section]["grid"] = built["grid"]
+        try:
+            built[section] = build(**fields[section])
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+    return RunConfig(**built)
 
 
 def load_config(path) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def _field(obj, name: str):
+    if isinstance(obj, Kernel):
+        return obj.family if name == "family" else obj.params.get(name)
+    return getattr(obj, name)
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical resolved form; floats round-trip via repr."""
     lines = []
-    for section_name in _SCHEMA:
-        section = getattr(cfg, section_name)
-        for f in fields(section):
-            value = getattr(section, f.name)
-            if value is None:
-                continue
-            lines.append(f"{section_name}.{f.name} = {value}")
+    for key, (_, _, name) in _KEYS.items():
+        value = _field(getattr(cfg, key.partition(".")[0]), name)
+        if value is not None:
+            lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

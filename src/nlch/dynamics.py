@@ -95,13 +95,13 @@ so a step costs two transforms per inner iteration and one after the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import potential as pot
-from .diagnostics import DiagnosticsRow, TimeSeries, chemical_potential, energy_pair, make_row
+from .diagnostics import DiagnosticsRow, TimeSeries, make_row
 from .grid import Field, Grid, h1_seminorm_sq_of_spectrum, irfft, max_abs
 from .kernels import Kernel
 from .snapshots import read_snapshot
@@ -180,6 +180,8 @@ class InitialData:
                 )
         if self.mode == "snapshot" and not self.snapshot_path:
             raise ValueError("snapshot mode requires snapshot_path")
+        if self.mode != "snapshot" and self.snapshot_path is not None:
+            raise ValueError("snapshot_path is only valid with mode 'snapshot'")
 
 
 @dataclass(frozen=True)
@@ -515,12 +517,7 @@ def run(
     if t_end <= state.t:
         return state, series
 
-    _, j_phi = chemical_potential(state.phi, kernel, p)
-    e_base, _ = energy_pair(state.phi, j_phi, kernel, p)
-    d_base = state.dissipation_accum
-
-    def emit(st: SimState) -> None:
-        row = make_row(st, kernel, p, e_base, d_base)
+    def emit(st: SimState, row: DiagnosticsRow) -> None:
         for mon in monitors:
             mon(row, st)
         series.append(row)
@@ -531,7 +528,11 @@ def run(
         if on_snapshot is not None:
             on_snapshot(st)
 
-    emit(state)
+    # the initial row's energy is the baseline, so its residual is exactly 0
+    d_base = state.dissipation_accum
+    first = make_row(state, kernel, p, 0.0, d_base)
+    e_base = first.energy
+    emit(state, replace(first, energy_residual=0.0))
     if snapshot_stride > 0:
         snap(state)
 
@@ -542,7 +543,7 @@ def run(
         state = step(state, cfg, kernel, p, dt=min(cfg.dt, remaining))
         final = (t_end - state.t) <= 1e-9 * cfg.dt
         if final or state.step_count % diag_stride == 0:
-            emit(state)
+            emit(state, make_row(state, kernel, p, e_base, d_base))
         if snapshot_stride > 0 and state.step_count % snapshot_stride == 0:
             snap(state)
     return state, series

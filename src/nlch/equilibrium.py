@@ -35,18 +35,13 @@ class EquilibriumResult:
 def _mass_and_slope(
     conv_values: np.ndarray, p: pot.PotentialParams, mu: float
 ) -> tuple[float, float]:
-    """The mass map mean(tanh((conv + mu)/alpha)) at mu and its derivative
-    mean(1 - phi^2)/alpha, from one tanh evaluation."""
+    """The mass map mean(tanh((conv + mu)/alpha)) at mu, strictly increasing
+    with range (-1, 1), and its derivative mean(1 - phi^2)/alpha, from one
+    tanh evaluation."""
     phi = pot.inverse_derivative(p, conv_values + mu)
     mass = float(phi.sum()) / phi.size  # np.mean's arithmetic, a third of its call cost
     phi *= phi
     return mass, (1.0 - float(phi.sum()) / phi.size) / p.alpha_bar
-
-
-def mass_of_mu(conv_values: np.ndarray, p: pot.PotentialParams, mu: float) -> float:
-    """Mean of the inverse-derivative image at a given scalar mu; strictly
-    increasing in mu with range (-1, 1)."""
-    return _mass_and_slope(conv_values, p, mu)[0]
 
 
 def _solve_mu(conv_values: np.ndarray, p: pot.PotentialParams, m: float) -> float:
@@ -59,11 +54,11 @@ def _solve_mu(conv_values: np.ndarray, p: pot.PotentialParams, m: float) -> floa
     half_width = span + p.alpha_bar * (1.0 + abs(np.arctanh(min(abs(m), 1.0 - 1e-12))))
     lo, hi = -half_width, half_width
     for _ in range(200):
-        if mass_of_mu(conv_values, p, lo) < m:
+        if _mass_and_slope(conv_values, p, lo)[0] < m:
             break
         lo *= 2.0
     for _ in range(200):
-        if mass_of_mu(conv_values, p, hi) > m:
+        if _mass_and_slope(conv_values, p, hi)[0] > m:
             break
         hi *= 2.0
     mu = 0.5 * (lo + hi)

@@ -4,14 +4,14 @@ Kernels are sampled at nearest-image distance on the grid and transformed
 once; convolution is then a pointwise multiply in spectral space scaled by
 cell_volume, so it approximates the integral J*f on the torus.  Even symmetry
 J(x) = J(-x) holds exactly on the grid by construction, which makes the
-multiplier real.  convolve_spectrum is the one convolution body, for callers
-that already hold the spectrum; convolve_values transforms values into it and
-convolve wraps that for Fields on the kernel's grid.
+multiplier real.  convolve_values is the one convolution body, for arrays;
+convolve wraps it for Fields on the kernel's grid.  A Kernel compares and
+hashes by what built it (family, grid, params), not by its arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,15 +24,18 @@ FAMILIES = ("gaussian", "exponential", "mollified_newtonian")
 MAX_WIDTH_FRACTION = 1.0 / 6.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Kernel:
     family: str
     grid: Grid
     params: dict
-    samples: np.ndarray
-    spectral_multiplier: np.ndarray
-    j_integral: float
-    grad_j_l1: float
+    samples: np.ndarray = field(compare=False)
+    spectral_multiplier: np.ndarray = field(compare=False)
+    j_integral: float = field(compare=False)
+    grad_j_l1: float = field(compare=False)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.grid, tuple(sorted(self.params.items()))))
 
 
 def build_kernel(
@@ -47,7 +50,8 @@ def build_kernel(
 
     j_integral is the discrete integral of J (so J*1 == j_integral on the
     torus); grad_j_l1 is the L^1 norm of the analytic gradient sampled over
-    the full periodic box.
+    the full periodic box.  The gaussian and exponential families read width,
+    mollified_newtonian reads molli_radius; passing the other is an error.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}; expected one of {FAMILIES}")
@@ -59,6 +63,8 @@ def build_kernel(
     params: dict = {"amplitude": float(amplitude)}
 
     if family in ("gaussian", "exponential"):
+        if molli_radius is not None:
+            raise ValueError(f"kernel family {family!r} takes no molli_radius")
         if width is None:
             raise ValueError(f"kernel family {family!r} requires a width")
         if not width > 0.0:
@@ -79,6 +85,8 @@ def build_kernel(
     else:  # mollified_newtonian
         if grid.dim != 3:
             raise ValueError("mollified_newtonian kernel is defined for dim = 3 only")
+        if width is not None:
+            raise ValueError("kernel family 'mollified_newtonian' takes no width")
         if molli_radius is None:
             raise ValueError("mollified_newtonian requires molli_radius")
         if not molli_radius > 0.0:
@@ -134,13 +142,9 @@ def convolve(kernel: Kernel, f: Field) -> Field:
 
 
 def convolve_values(kernel: Kernel, values: np.ndarray) -> np.ndarray:
-    """Array-level convolve for inner loops (no Field wrapping/validation)."""
-    return convolve_spectrum(kernel, np.fft.rfftn(values))
-
-
-def convolve_spectrum(kernel: Kernel, values_hat: np.ndarray) -> np.ndarray:
-    """J*f as a fresh array, from the rfftn spectrum values_hat of f."""
+    """Array-level convolve for inner loops (no Field wrapping/validation):
+    J*f as a fresh array."""
     g = kernel.grid
-    out = irfft(g, kernel.spectral_multiplier * values_hat)
+    out = irfft(g, kernel.spectral_multiplier * np.fft.rfftn(values))
     out *= g.cell_volume
     return out

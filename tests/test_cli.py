@@ -101,7 +101,7 @@ class TestSimulate:
         from nlch import load_config
 
         cfg = load_config(DEMO_1D)
-        assert cfg.grid.n == 128
+        assert cfg.grid.n_per_axis == 128
 
     def test_determinism(self, tmp_path):
         # same config + seed into two directories: identical CSV bytes
@@ -110,6 +110,42 @@ class TestSimulate:
         assert (tmp_path / "a" / "timeseries.csv").read_bytes() == (
             tmp_path / "b" / "timeseries.csv"
         ).read_bytes()
+
+
+def count_kernel_builds(monkeypatch) -> list:
+    """Wrap build_kernel under every nlch module attribute bound to it; the
+    returned list gains one entry per call."""
+    import sys
+
+    import nlch.kernels
+
+    original = nlch.kernels.build_kernel
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0] if args else kwargs["family"])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nlch" or name.startswith("nlch."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestKernelBuiltOnce:
+    def test_simulate(self, tmp_path, monkeypatch):
+        calls = count_kernel_builds(monkeypatch)
+        assert main(["simulate", str(make_config(tmp_path, tmp_path / "out", t_end=0.03))]) == 0
+        assert calls == ["gaussian"]
+
+    def test_degiorgi(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path, tmp_path / "out", t_end=6.0, extra="degiorgi.window = 1.5\n")
+        assert main(["simulate", str(cfg)]) == 0
+        calls = count_kernel_builds(monkeypatch)
+        assert main(["degiorgi", str(cfg), "--snapshots", str(tmp_path / "out")]) == 0
+        assert calls == ["gaussian"]
 
 
 class TestLemma:
@@ -230,6 +266,24 @@ class TestExitCodes:
         assert main(["simulate", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "error: config:" in err and "safety_margin" in err
+
+    def test_molli_radius_on_a_gaussian_kernel_is_one(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out", extra="kernel.molli_radius = 0.3\n")
+        assert main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error: config:" in err and "molli_radius" in err
+
+    def test_width_on_a_mollified_newtonian_kernel_is_one(self, tmp_path, capsys):
+        cfg = tmp_path / "newtonian.conf"
+        cfg.write_text(
+            "grid.dim = 3\ngrid.n = 8\ngrid.edge_length = 4.0\n"
+            "kernel.family = mollified_newtonian\nkernel.width = 0.5\n"
+            "potential.alpha_bar = 1.0\nrun.t_end = 0.1\n"
+            f"output.directory = {tmp_path / 'out'}\n"
+        )
+        assert main(["simulate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error: config:" in err and "width" in err
 
     def test_missing_config_file_is_three(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.conf")]) == 3

@@ -1,5 +1,7 @@
 """Config parsing/serialization and the frozen snapshot byte format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from nlch import (
     write_snapshot,
 )
 from nlch.snapshots import MAGIC, read_snapshot_dir
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """
 grid.dim = 1
@@ -53,13 +57,22 @@ degiorgi.n_max = 6
 degiorgi.window = 0.75
 """
 
+NEWTONIAN_3D = """
+grid.dim = 3
+grid.n = 8
+grid.edge_length = 4.0
+kernel.family = mollified_newtonian
+potential.alpha_bar = 1.0
+run.t_end = 0.1
+"""
+
 
 class TestParse:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.grid.n == 32
-        assert cfg.kernel.width == 0.5  # edge_length / 8
-        assert cfg.kernel.amplitude == 1.0
+        assert cfg.grid.n_per_axis == 32
+        assert cfg.kernel.params["width"] == 0.5  # edge_length / 8
+        assert cfg.kernel.params["amplitude"] == 1.0
         assert cfg.potential.alpha0 == 2.0  # 2 * alpha_bar
         assert cfg.initial.mode == "constant"
         assert cfg.stepper.dt == 1e-3
@@ -79,7 +92,9 @@ class TestParse:
 
     def test_inline_comment(self):
         cfg = parse_config(MINIMAL.replace("grid.n = 32", "grid.n = 32  # points"))
-        assert cfg.grid.n == 32
+        assert cfg.grid.n_per_axis == 32
+        cfg = parse_config(MINIMAL.replace("grid.n = 32", "grid.n = 32\t# points"))
+        assert cfg.grid.n_per_axis == 32
 
     def test_pure_phase_mean_rejected(self):
         with pytest.raises(ConfigError, match="pure phase mean"):
@@ -122,12 +137,25 @@ class TestParse:
 
     def test_builders_produce_working_objects(self):
         cfg = parse_config(MINIMAL)
-        grid = cfg.make_grid()
-        kernel = cfg.make_kernel(grid)
-        assert kernel.j_integral > 0
-        assert cfg.make_potential().alpha_bar == 1.0
-        assert cfg.make_stepper().dt == 1e-3
-        assert cfg.make_initial().mode == "constant"
+        assert cfg.grid == Grid(1, 32, 4.0)
+        assert cfg.kernel.grid is cfg.grid
+        assert cfg.kernel.j_integral > 0
+        assert cfg.potential.alpha_bar == 1.0
+        assert cfg.stepper.dt == 1e-3
+        assert cfg.initial.mode == "constant"
+
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param(path.read_text(encoding="utf-8"), id=path.stem)
+         for path in sorted((REPO_ROOT / "configs").glob("*.conf"))]
+        + [pytest.param(NEWTONIAN_3D, id="newtonian_3d")],
+    )
+    def test_round_trip_fixed_point(self, text):
+        cfg = parse_config(text)
+        canonical = serialize_config(cfg)
+        cfg2 = parse_config(canonical)
+        assert cfg2 == cfg
+        assert serialize_config(cfg2) == canonical
 
 
 class TestSnapshots:

@@ -126,6 +126,10 @@ class TestInitState:
         with pytest.raises(ValueError, match="delta0 bound"):
             InitialData(mode="constant", m=0.5, noise_amplitude=0.5, delta0=0.05)
 
+    def test_snapshot_path_only_with_snapshot_mode(self):
+        with pytest.raises(ValueError, match="snapshot_path is only valid"):
+            InitialData(mode="tanh", snapshot_path="some/path.nlch")
+
     def test_snapshot_roundtrip_and_grid_mismatch(self, setup_small, tmp_path):
         grid, kernel, p = setup_small
         st = init_state(
@@ -744,6 +748,23 @@ class TestRun:
         assert len(series) == 6  # steps 0, 10, 20, 30, 40, 50
         assert series.rows[0].t == 0.0
         assert series.rows[-1].t == pytest.approx(0.05)
+
+    def test_initial_row_is_the_energy_baseline(self, setup_small):
+        grid, kernel, p = setup_small
+        cfg = StepperConfig(dt=1e-3, dt_min=1e-7, inner_tol=1e-11)
+        st0 = init_state(
+            grid, kernel, p,
+            InitialData(mode="constant", m=0.0, noise_amplitude=0.05, seed=2),
+        )
+        _, series = run(st0, 0.005, cfg, kernel, p)
+        first = series.rows[0]
+        assert first.energy_residual == 0.0
+        assert first.energy == energy(st0.phi, kernel, p)
+        for row in series.rows[1:]:
+            # every later residual is measured against row 0's energy
+            assert row.energy_residual == (
+                row.energy + (row.dissipation_accum - st0.dissipation_accum) - first.energy
+            )
 
     def test_snapshot_stride(self, setup_small):
         grid, kernel, p = setup_small

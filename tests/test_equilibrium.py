@@ -18,7 +18,7 @@ from nlch import (
     solve_stationary,
 )
 import nlch.potential as potential_module
-from nlch.equilibrium import _solve_mu, mass_of_mu
+from nlch.equilibrium import _mass_and_slope, _solve_mu
 
 from conftest import gaussian_amplitude
 
@@ -105,7 +105,7 @@ class TestMuBisection:
         rng = np.random.default_rng(14)
         conv = rng.uniform(-2, 2, grid.shape)
         mus = np.linspace(-5, 5, 41)
-        vals = [mass_of_mu(conv, p, mu) for mu in mus]
+        vals = [_mass_and_slope(conv, p, mu)[0] for mu in mus]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert vals[0] > -1.0 and vals[-1] < 1.0
 
@@ -126,10 +126,10 @@ class TestMuNewton:
         mu = _solve_mu(conv, p, m)
         assert len(evaluations) <= 16  # two bracket checks, then Newton; bisection takes ~55
         monkeypatch.undo()
-        assert abs(mass_of_mu(conv, p, mu) - m) <= 2e-16
+        assert abs(_mass_and_slope(conv, p, mu)[0] - m) <= 2e-16
         # mu sits on the root: a neighbour one part in 1e-14 away misses m
-        assert mass_of_mu(conv, p, mu - 1e-14 * max(1.0, abs(mu))) < m
-        assert mass_of_mu(conv, p, mu + 1e-14 * max(1.0, abs(mu))) > m
+        assert _mass_and_slope(conv, p, mu - 1e-14 * max(1.0, abs(mu)))[0] < m
+        assert _mass_and_slope(conv, p, mu + 1e-14 * max(1.0, abs(mu)))[0] > m
 
 
 class TestMonitorConvergence:

@@ -76,6 +76,22 @@ class TestBuildKernel:
         with pytest.raises(ValueError, match="under-resolved"):
             build_kernel("mollified_newtonian", g, amplitude=1.0, molli_radius=0.3)
 
+    def test_rejects_an_argument_the_family_does_not_read(self):
+        g = Grid(1, 32, 4.0)
+        for family in ("gaussian", "exponential"):
+            with pytest.raises(ValueError, match="takes no molli_radius"):
+                build_kernel(family, g, width=0.4, molli_radius=0.3)
+        with pytest.raises(ValueError, match="takes no width"):
+            build_kernel("mollified_newtonian", Grid(3, 16, 4.0), width=0.4, molli_radius=0.6)
+
+    def test_compares_by_build_arguments(self):
+        g = Grid(1, 32, 4.0)
+        a = build_kernel("gaussian", g, amplitude=1.1, width=0.4)
+        b = build_kernel("gaussian", Grid(1, 32, 4.0), amplitude=1.1, width=0.4)
+        assert a == b and hash(a) == hash(b)
+        assert a != build_kernel("gaussian", g, amplitude=1.1, width=0.5)
+        assert a != build_kernel("exponential", g, amplitude=1.1, width=0.4)
+
     def test_newtonian_requires_dim3(self):
         g = Grid(1, 32, 4.0)
         with pytest.raises(ValueError, match="dim = 3"):
