@@ -2,11 +2,16 @@
 
 All functions here are pure reads of a snapshot; they never mutate state and
 are safe to evaluate concurrently with the driver holding the next state.
+
+mu, J*phi and the energies are built on bare arrays by two private helpers.
+The public functions wrap them; make_row, run as often as once per step,
+calls them directly and builds no Field, with bit-identical values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,9 +33,31 @@ CSV_COLUMNS = (
     "inner_iters",
     "dt_used",
 )
+# One format for a whole row: %.17g equals format(v, ".17g") for every float,
+# and %d equals str(v) for the integer inner_iters.
+_CSV_ROW_FORMAT = ",".join("%d" if name == "inner_iters" else "%.17g" for name in CSV_COLUMNS)
+_csv_values = attrgetter(*CSV_COLUMNS)
 
 # Gradient norms below this are treated as identically flat truncations.
 FLAT_GRADIENT_TOL = 1e-14
+
+
+def _energies(
+    grid: Grid, phi: np.ndarray, j_phi: np.ndarray, kernel: Kernel, p: pot.PotentialParams
+) -> tuple[float, float]:
+    """(energy, energy_alt) of the samples phi with convolution j_phi, both
+    read off one evaluation of F."""
+    cv = grid.cell_volume
+    a = kernel.j_integral
+    f_vals = pot.value(p, phi)  # raises outside [-1, 1]
+    cross = float(np.add.reduce(phi * j_phi, axis=None)) * cv
+    phi_sq = phi**2
+    sq = float(np.add.reduce(phi_sq, axis=None)) * cv
+    e = -0.5 * cross + float(np.add.reduce(f_vals, axis=None)) * cv
+    phi_sq *= 0.5 * a
+    entropic = float(np.add.reduce(np.subtract(f_vals, phi_sq, out=f_vals), axis=None))
+    e_alt = 0.5 * a * sq - 0.5 * cross + entropic * cv
+    return e, e_alt
 
 
 def energy_pair(
@@ -38,16 +65,7 @@ def energy_pair(
 ) -> tuple[float, float]:
     """(energy, energy_alt) of phi from its convolution j_phi = J*phi, both
     read off one evaluation of F."""
-    if max_abs(phi.values) > 1.0:
-        raise pot.PotentialDomainError("energy argument exceeds [-1, 1]")
-    cv = phi.grid.cell_volume
-    a = kernel.j_integral
-    f_vals = pot.value(p, phi.values)
-    cross = float(np.sum(phi.values * j_phi.values)) * cv
-    sq = float(np.sum(phi.values**2)) * cv
-    e = -0.5 * cross + float(np.sum(f_vals)) * cv
-    e_alt = 0.5 * a * sq - 0.5 * cross + float(np.sum(f_vals - 0.5 * a * phi.values**2)) * cv
-    return e, e_alt
+    return _energies(phi.grid, phi.values, j_phi.values, kernel, p)
 
 
 def energy(phi: Field, kernel: Kernel, p: pot.PotentialParams) -> float:
@@ -75,10 +93,18 @@ def chemical_potential(
     phi: Field, kernel: Kernel, p: pot.PotentialParams
 ) -> tuple[Field, Field]:
     """mu = F'(phi) - J*phi, returned with the J*phi it is built from."""
-    j_phi = convolve_values(kernel, phi.values)
-    mu = pot.derivative(p, phi.values)
-    mu -= j_phi
+    mu, j_phi = _mu_and_j_phi(phi.values, kernel, p)
     return Field(phi.grid, mu), Field(phi.grid, j_phi)
+
+
+def _mu_and_j_phi(
+    phi: np.ndarray, kernel: Kernel, p: pot.PotentialParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, J*phi) on bare arrays: one fresh rfftn of phi and one F'."""
+    j_phi = convolve_values(kernel, phi)
+    mu = pot.derivative(p, phi)
+    mu -= j_phi
+    return mu, j_phi
 
 
 def mu_linf(mu: Field) -> float:
@@ -191,11 +217,7 @@ class DiagnosticsRow:
     dt_used: float
 
     def to_csv(self) -> str:
-        parts = []
-        for name in CSV_COLUMNS:
-            v = getattr(self, name)
-            parts.append(str(v) if isinstance(v, int) else format(v, ".17g"))
-        return ",".join(parts)
+        return _CSV_ROW_FORMAT % _csv_values(self)
 
 
 def csv_header() -> str:
@@ -231,12 +253,13 @@ def make_row(
     dissipation_base: float,
 ) -> DiagnosticsRow:
     """Assemble one diagnostics row from a simulation state, building its
-    chemical potential."""
+    chemical potential on arrays (no Field validation)."""
     phi = state.phi
-    mu, j_phi = chemical_potential(phi, kernel, p)
-    e, ea = energy_pair(phi, j_phi, kernel, p)
-    mn = float(np.min(phi.values))
-    mx = float(np.max(phi.values))
+    vals = phi.values
+    mu, j_phi = _mu_and_j_phi(vals, kernel, p)
+    e, ea = _energies(phi.grid, vals, j_phi, kernel, p)
+    mn = float(np.minimum.reduce(vals, axis=None))
+    mx = float(np.maximum.reduce(vals, axis=None))
     dissip = state.dissipation_accum
     return DiagnosticsRow(
         t=state.t,
@@ -248,7 +271,7 @@ def make_row(
         min_phi=mn,
         max_phi=mx,
         delta_sep=1.0 - max(abs(mn), abs(mx)),
-        mu_linf=mu_linf(mu),
+        mu_linf=max_abs(mu),
         inner_iters=state.last_inner_iters,
         dt_used=state.last_dt,
     )

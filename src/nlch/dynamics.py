@@ -82,12 +82,12 @@ its workspace, about 22 grid-sized float64 arrays (2.8 MB at 128^2, 44 MB at
 stepped.
 
 The step's tail.  The state carries phi and phi_hat, its spectrum, which the
-next step's rhat reuses; mu and J*phi are not carried, and
-diagnostics.chemical_potential builds them where a row or a caller reads
-them.  The accepted iterate is irfft(g_hat), so phi_hat is a copy of the
-solve's g_hat with its k = 0 entry set to the restored mean; only when the
-final candidate was halved toward the iterate (it is then not irfft(g_hat))
-is phi transformed again.  That phi_hat equals rfftn(phi) to roundoff, not
+next step's rhat reuses; mu and J*phi are not carried.  diagnostics builds
+them from phi where they are read: a row through its array helper, any other
+caller through chemical_potential.  The accepted iterate is irfft(g_hat), so
+phi_hat is a copy of the solve's g_hat with its k = 0 entry set to the
+restored mean; only when the final candidate was halved toward the iterate
+(it is then not irfft(g_hat)) is phi transformed again.  That phi_hat equals rfftn(phi) to roundoff, not
 bit for bit.  The dissipation increment dt ||grad mu||^2 is a Parseval sum
 over mu_hat = F'(phi)^hat - cell_volume J^ phi_hat, built in the workspace,
 so a step costs two transforms per inner iteration and one after the solve.
@@ -437,8 +437,8 @@ def step(
             )
 
     # restore the k=0 mode exactly (transform roundoff only)
-    mass = phi_n.mean()
-    solved += mass - solved.mean()
+    mass = float(np.add.reduce(phi_n, axis=None)) / phi_n.size  # np.mean's arithmetic
+    solved += mass - float(np.add.reduce(solved, axis=None)) / solved.size
     if phi_hat is None:  # a halved candidate is not irfft(g_hat)
         phi_hat = np.fft.rfftn(solved)
     else:

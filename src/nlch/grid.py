@@ -48,7 +48,7 @@ class Grid:
     def spacing(self) -> float:
         return self.edge_length / self.n_per_axis
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return (self.edge_length / self.n_per_axis) ** self.dim
 
@@ -56,11 +56,11 @@ class Grid:
     def volume(self) -> float:
         return self.edge_length**self.dim
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.n_per_axis,) * self.dim
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.n_per_axis**self.dim
 
@@ -116,14 +116,19 @@ class Grid:
         weight[0] = weight[-1] = 1.0
         return weight * k2
 
-    @property
+    @cached_property
     def fft_axes(self) -> tuple[int, ...]:
         return tuple(range(self.dim))
 
 
 def max_abs(a: np.ndarray) -> float:
-    """max|a| without the |a| temporary; 0 for an empty array."""
-    return max(float(a.max()), -float(a.min())) if a.size else 0.0
+    """max|a| without the |a| temporary; 0 for an empty array, nan if a holds
+    a NaN.  Calls the reductions behind ndarray.max/min without the wrappers."""
+    if not a.size:
+        return 0.0
+    hi = float(np.maximum.reduce(a, axis=None))
+    lo = -float(np.minimum.reduce(a, axis=None))
+    return lo if lo > hi else hi
 
 
 def irfft(grid: Grid, spectral: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -145,7 +150,7 @@ class Field:
             raise ValueError(
                 f"field shape {arr.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
             raise ValueError("field contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -156,8 +161,9 @@ class Field:
 
 
 def mean(f: Field) -> float:
-    """Integral mean (sum * cell_volume / volume == arithmetic mean)."""
-    return float(np.mean(f.values))
+    """Integral mean (sum * cell_volume / volume == arithmetic mean), as
+    np.mean computes it: the pairwise sum divided by the sample count."""
+    return float(np.add.reduce(f.values, axis=None)) / f.values.size
 
 
 def lp_norm(f: Field, p: float) -> float:

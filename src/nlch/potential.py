@@ -7,7 +7,7 @@
 
 with a = alpha_bar.  The derivative blows up at +-1, which is what confines
 the phase variable to (-1, 1); evaluation is exact-precision friendly down to
-1 - |s| = 1e-15 and errors out below that instead of saturating.
+1 - |s| = 1e-15 and errors out below that, or on a NaN, instead of saturating.
 """
 
 from __future__ import annotations
@@ -51,25 +51,29 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x on x >= 0, with the continuous limit 0 at x = 0."""
+    out = np.log(x, out=np.zeros_like(x), where=x > 0.0)
+    out *= x
+    return out
+
+
 def value(p: PotentialParams, s):
-    """Potential value on [-1, 1]; endpoints by continuity (alpha_bar*ln 2)."""
+    """Potential value on [-1, 1]; endpoints by continuity (alpha_bar*ln 2).
+    Outside [-1, 1] or on a NaN it raises PotentialDomainError."""
     arr, scalar = _as_array(s)
-    if np.any(np.abs(arr) > 1.0):
-        raise PotentialDomainError(f"potential argument outside [-1, 1]: max |s| = {np.max(np.abs(arr))}")
-    one_plus = 1.0 + arr
-    one_minus = 1.0 - arr
-    out = np.zeros_like(arr)
-    # x ln x with the continuous limit 0 at x = 0
-    for x in (one_plus, one_minus):
-        mask = x > 0.0
-        out = out + np.where(mask, x * np.log(np.where(mask, x, 1.0)), 0.0)
+    amax = max_abs(arr)
+    if not amax <= 1.0:  # a NaN fails too
+        raise PotentialDomainError(f"potential argument outside [-1, 1]: max |s| = {amax}")
+    # out= keeps 0-d inputs as arrays, so the in-place updates below apply
+    out = _xlogx(np.add(1.0, arr, out=np.empty_like(arr)))
+    out += _xlogx(np.subtract(1.0, arr, out=np.empty_like(arr)))
     out *= 0.5 * p.alpha_bar
     return _maybe_scalar(out, scalar)
 
 
-def _check_open_interval(arr: np.ndarray) -> None:
-    amax = max_abs(arr)
-    if amax >= 1.0 or 1.0 - amax < SEPARATION_FLOOR:
+def _check_open_interval(amax: float) -> None:
+    if not 1.0 - amax >= SEPARATION_FLOOR:  # a NaN fails too
         raise PotentialDomainError(
             f"potential derivative evaluated too close to the pure phases: "
             f"1 - max|s| = {1.0 - amax:.3e} (floor {SEPARATION_FLOOR:.0e}); "
@@ -82,16 +86,20 @@ def derivative(p: PotentialParams, s, out: np.ndarray | None = None):
     (a float64 array of s's shape) the values are written there and out is
     returned."""
     arr, scalar = _as_array(s)
-    _check_open_interval(arr)
+    _check_open_interval(max_abs(arr))
     out = np.arctanh(arr, out=out)
     out *= p.alpha_bar  # in place for arrays; a 0-d input gives a scalar
     return _maybe_scalar(out, scalar)
 
 
 def second_derivative(p: PotentialParams, s):
-    """Second derivative; even, >= alpha_bar, minimum at 0."""
+    """Second derivative; even, >= alpha_bar, minimum at 0.  A Python float (the
+    inner solve's L_m, once per iteration) skips the arrays, bit-identically."""
+    if type(s) is float:
+        _check_open_interval(abs(s))
+        return p.alpha_bar / ((1.0 - s) * (1.0 + s))
     arr, scalar = _as_array(s)
-    _check_open_interval(arr)
+    _check_open_interval(max_abs(arr))
     out = p.alpha_bar / ((1.0 - arr) * (1.0 + arr))
     return _maybe_scalar(out, scalar)
 

@@ -12,6 +12,7 @@ from nlch import (
     Grid,
     PotentialParams,
     build_kernel,
+    chemical_potential,
     derivative,
     InitialData,
     StepperConfig,
@@ -23,11 +24,12 @@ from nlch import (
     poincare_ratio,
     poincare_sweep,
     init_state,
+    mean,
     separation_margin,
     step,
     value,
 )
-from nlch.diagnostics import TimeSeries, make_row
+from nlch.diagnostics import DiagnosticsRow, TimeSeries, make_row
 
 from conftest import gaussian_amplitude
 
@@ -243,3 +245,90 @@ class TestRowsAndSeries:
         assert len(series) == 0
         with pytest.raises(KeyError):
             series.column("nope")
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def composed_row_fields(state, kernel, p, energy_base, dissipation_base):
+    """A row's twelve fields from the public functions, with the energy sums
+    and the mass written as np.sum / np.mean, the way rows were assembled
+    before make_row moved onto arrays."""
+    phi = state.phi
+    mu, j_phi = chemical_potential(phi, kernel, p)
+    cv = phi.grid.cell_volume
+    a = kernel.j_integral
+    f_vals = value(p, phi.values)
+    cross = float(np.sum(phi.values * j_phi.values)) * cv
+    sq = float(np.sum(phi.values**2)) * cv
+    e = -0.5 * cross + float(np.sum(f_vals)) * cv
+    ea = 0.5 * a * sq - 0.5 * cross + float(np.sum(f_vals - 0.5 * a * phi.values**2)) * cv
+    mn = float(np.min(phi.values))
+    mx = float(np.max(phi.values))
+    dissip = state.dissipation_accum
+    return dict(
+        t=state.t,
+        mass=float(np.mean(phi.values)),
+        energy=e,
+        energy_alt=ea,
+        dissipation_accum=dissip,
+        energy_residual=e + (dissip - dissipation_base) - energy_base,
+        min_phi=mn,
+        max_phi=mx,
+        delta_sep=1.0 - max(abs(mn), abs(mx)),
+        mu_linf=mu_linf(mu),
+        inner_iters=state.last_inner_iters,
+        dt_used=state.last_dt,
+    )
+
+
+class TestMakeRowBitwise:
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+    def test_fields_match_the_public_composition(self, dim, n):
+        grid = Grid(dim, n, 4.0)
+        kernel = build_kernel(
+            "gaussian", grid, amplitude=gaussian_amplitude(2.0, 0.3, dim), width=0.3
+        )
+        p = PotentialParams(1.0, 2.0)
+        st = init_state(
+            grid, kernel, p, InitialData(mode="constant", m=0.1, noise_amplitude=0.3, seed=4)
+        )
+        cfg = StepperConfig(dt=3e-3, inner_tol=1e-12)
+        for _ in range(4):
+            st = step(st, cfg, kernel, p)
+        assert st.dissipation_accum > 0.0 and st.last_inner_iters > 0
+        row = make_row(st, kernel, p, -0.3, 1e-3)
+        expected = composed_row_fields(st, kernel, p, -0.3, 1e-3)
+        assert expected["mass"] == mean(st.phi)
+        for name in CSV_COLUMNS:
+            got = getattr(row, name)
+            assert type(got) is type(expected[name]), name
+            assert bits(got) == bits(expected[name]), name
+
+
+def per_field_join(row) -> str:
+    """The CSV line as one format call per field."""
+    parts = []
+    for name in CSV_COLUMNS:
+        v = getattr(row, name)
+        parts.append(str(v) if isinstance(v, int) else format(v, ".17g"))
+    return ",".join(parts)
+
+
+class TestRowCsv:
+    @pytest.mark.parametrize(
+        "v", [-0.0, 0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1, -1.0 / 3.0]
+    )
+    @pytest.mark.parametrize("iters", [0, 2**40])
+    def test_matches_the_per_field_join(self, v, iters):
+        floats = {name: v for name in CSV_COLUMNS if name != "inner_iters"}
+        row = DiagnosticsRow(inner_iters=iters, **floats)
+        assert row.to_csv() == per_field_join(row)
+
+    def test_column_order_with_distinct_values(self):
+        values = {name: (i + 1) / 7.0 for i, name in enumerate(CSV_COLUMNS)}
+        values["inner_iters"] = 11
+        row = DiagnosticsRow(**values)
+        assert row.to_csv() == per_field_join(row)
+        assert row.to_csv().split(",")[CSV_COLUMNS.index("inner_iters")] == "11"

@@ -14,6 +14,7 @@ from nlch import (
     lp_norm,
     mean,
 )
+from nlch.grid import max_abs
 
 
 def random_field(grid, rng, scale=1.0):
@@ -89,6 +90,45 @@ class TestMean:
             a, b = rng.uniform(-2, 2, 2)
             combo = Field(g, a * f.values + b * h.values)
             assert abs(mean(combo) - (a * mean(f) + b * mean(h))) <= 1e-13
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def reduction_cases():
+    rng = np.random.default_rng(7)
+    return [
+        (Grid(1, 4, 1.0), np.array([-0.0, -0.0, -0.0, -0.0])),
+        (Grid(1, 4, 1.0), np.array([0.0, -0.0, 0.0, -0.0])),
+        (Grid(1, 4, 1.0), np.array([-0.0, 0.0, -0.0, 0.0])),
+        (Grid(1, 4, 1.0), np.array([-3.0, 2.0, 0.5, 3.0])),
+        (Grid(1, 4, 1.0), np.array([3.0, -3.0, 0.0, 1.0])),
+        (Grid(1, 128, 4.0), rng.uniform(-1.0, 1.0, 128)),
+        (Grid(2, 16, 4.0), rng.uniform(-1.0, 1.0, (16, 16))),
+        (Grid(3, 8, 4.0), rng.standard_normal((8, 8, 8))),
+    ]
+
+
+class TestReductionsMatchNdarrayForms:
+    @pytest.mark.parametrize("grid, a", reduction_cases())
+    def test_max_abs(self, grid, a):
+        got = max_abs(a)
+        assert type(got) is float
+        assert bits(got) == bits(max(float(a.max()), -float(a.min())))
+
+    @pytest.mark.parametrize("grid, a", reduction_cases())
+    def test_mean(self, grid, a):
+        got = mean(Field(grid, a))
+        assert type(got) is float
+        assert bits(got) == bits(float(a.mean()))
+
+    def test_max_abs_of_empty_is_zero(self):
+        got = max_abs(np.array([]))
+        assert type(got) is float and got == 0.0
+
+    def test_max_abs_propagates_nan(self):
+        assert math.isnan(max_abs(np.array([0.5, np.nan, -2.0])))
 
 
 class TestLpNorm:

@@ -169,6 +169,85 @@ class TestDerivativeOut:
             derivative(p1, bad)
 
 
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def two_where_value(p, s):
+    """F as written before the in-place rewrite: two np.where pairs and a copy
+    per term.  The reference for the bit-for-bit contract of value."""
+    arr = np.asarray(s, dtype=np.float64)
+    out = np.zeros_like(arr)
+    for x in (1.0 + arr, 1.0 - arr):
+        mask = x > 0.0
+        out = out + np.where(mask, x * np.log(np.where(mask, x, 1.0)), 0.0)
+    out *= 0.5 * p.alpha_bar
+    return out
+
+
+EDGE_POINTS = [
+    1.0, -1.0, 0.0, -0.0,
+    1.0 - 1e-15, -(1.0 - 1e-15), 1.0 - 2.0**-52, -(1.0 - 2.0**-52),
+]
+
+
+class TestValueBitwise:
+    @pytest.mark.parametrize("alpha_bar", [1.0, 1.7])
+    def test_arrays_match_the_two_where_expression(self, alpha_bar):
+        p = PotentialParams(alpha_bar, 2.0)
+        rng = np.random.default_rng(3)
+        s = np.concatenate((EDGE_POINTS, rng.uniform(-1.0, 1.0, 392)))
+        assert bits(value(p, s)) == bits(two_where_value(p, s))
+        s2 = s.reshape(20, 20)
+        assert bits(value(p, s2)) == bits(two_where_value(p, s2))
+        assert bits(value(p, s2.T)) == bits(two_where_value(p, s2.T))  # strided
+
+    @pytest.mark.parametrize("s", EDGE_POINTS + [0.5, -0.25, 1e-300])
+    def test_scalars_return_floats_with_the_same_bits(self, s):
+        p = PotentialParams(1.7, 2.0)
+        expected = bits(two_where_value(p, np.array([s]))[0])
+        for arg in (s, np.array(s)):
+            got = value(p, arg)
+            assert type(got) is float
+            assert bits(got) == expected
+
+
+class TestSecondDerivativeScalarPath:
+    @pytest.mark.parametrize(
+        "s", [0.0, -0.0, 0.3, -0.7, 1e-300, 1.0 - 1e-9, 1.0 - 2e-15, -(1.0 - 2e-15)]
+    )
+    def test_float_matches_zero_d_bitwise(self, s):
+        p = PotentialParams(1.7, 2.0)
+        got = second_derivative(p, s)
+        assert type(got) is float
+        assert bits(got) == bits(second_derivative(p, np.array(s)))
+
+    def test_random_floats_match_zero_d_bitwise(self, p1):
+        for s in np.random.default_rng(9).uniform(-1.0, 1.0, 200).tolist():
+            assert bits(second_derivative(p1, s)) == bits(second_derivative(p1, np.array(s)))
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.0 - 5e-16, -(1.0 - 5e-16)])
+    def test_raises_at_the_same_arguments(self, p1, bad):
+        for arg in (bad, np.array(bad)):
+            with pytest.raises(PotentialDomainError, match="separation"):
+                second_derivative(p1, arg)
+
+
+class TestNaNArgument:
+    """A NaN fails every domain check instead of passing as zero energy or
+    propagating as a NaN derivative."""
+
+    @pytest.mark.parametrize("fn", [value, derivative, second_derivative])
+    def test_nan_scalar(self, p1, fn):
+        with pytest.raises(PotentialDomainError):
+            fn(p1, float("nan"))
+
+    @pytest.mark.parametrize("fn", [value, derivative, second_derivative])
+    def test_array_holding_nan(self, p1, fn):
+        with pytest.raises(PotentialDomainError):
+            fn(p1, np.array([0.1, np.nan, -0.3]))
+
+
 class TestInverseDerivative:
     def test_origin(self, p1):
         assert inverse_derivative(p1, 0.0) == 0.0
