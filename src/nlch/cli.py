@@ -77,6 +77,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _checked(call, *args, **kwargs):
+    """call(*args, **kwargs) with an argument it rejects reported as usage."""
+    try:
+        return call(*args, **kwargs)
+    except pot.PotentialDomainError:  # numerical, not an argument
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     state = dyn.init_state(cfg.grid, cfg.kernel, cfg.potential, cfg.initial)
@@ -126,8 +136,9 @@ def _cmd_equilibrium(args) -> int:
     else:
         m = cfg.initial.m
         guess = Field.constant(grid, m)
-    result = eq.solve_stationary(
-        kernel, p, m, guess, tol=args.tol, max_iters=args.max_iters, omega=args.omega
+    result = _checked(
+        eq.solve_stationary,
+        kernel, p, m, guess, tol=args.tol, max_iters=args.max_iters, omega=args.omega,
     )
     outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -209,7 +220,8 @@ def _cmd_degiorgi(args) -> int:
 
 def _cmd_constants(args) -> int:
     cfg = load_config(args.config)
-    params = dg.DeGiorgiParams(
+    params = _checked(
+        dg.DeGiorgiParams,
         delta=args.delta,
         alpha_bar=cfg.potential.alpha_bar,
         grad_j_l1=cfg.kernel.grad_j_l1,
@@ -230,7 +242,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    report = dg.geometric_decay_bound(args.c, args.b, args.eps, args.y0, args.n)
+    report = _checked(dg.geometric_decay_bound, args.c, args.b, args.eps, args.y0, args.n)
     print(f"theta = {_fmt(report.theta)}")
     print(f"threshold_ok = {str(report.threshold_ok).lower()}")
     if report.threshold_ok:
@@ -247,10 +259,7 @@ def _cmd_potential_check(args) -> int:
         deltas = [float(part) for part in args.deltas.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"--deltas: {exc}") from exc
-    try:
-        report = pot.check_endpoint_asymptotics(cfg.potential, deltas)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    report = _checked(pot.check_endpoint_asymptotics, cfg.potential, deltas)
     print(f"curvature_target = {_fmt(report.curvature_target)}")
     print(f"slope_target = {_fmt(report.slope_target)}")
     print("delta,curvature_scaled,slope_scaled,curvature_mirror,slope_mirror")

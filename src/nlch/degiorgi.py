@@ -98,7 +98,7 @@ def geometric_decay_bound(
     """
     if not (c > 0.0 and b > 1.0 and eps > 0.0):
         raise ValueError(f"require C > 0, b > 1, eps > 0; got C={c}, b={b}, eps={eps}")
-    if y0 < 0.0:
+    if not y0 >= 0.0:  # a NaN fails too
         raise ValueError(f"y0 must be nonnegative, got {y0}")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -351,18 +351,12 @@ def _side_check(
 
 
 def verify_scheme_on_trajectory(
-    snapshots, params: DeGiorgiParams, n_max: int = 8, window: float | None = None
+    snapshots, params: DeGiorgiParams, n_max: int = 8
 ) -> TrajectoryCheck:
-    """Measure y_n on [T - window, T], compare against the scheme's bound
-    sequence and threshold, and run the mirrored check on -phi for the lower
-    phase."""
+    """Measure y_n over the snapshots' time span, compare against the scheme's
+    bound sequence and threshold, and run the mirrored check on -phi for the
+    lower phase."""
     snaps = sorted(((float(t), f) for t, f in snapshots), key=lambda pair: pair[0])
-    if window is not None:
-        if not window > 0.0:
-            raise ValueError(f"window must be positive, got {window}")
-        t_last = snaps[-1][0]
-        cutoff = t_last - window * (1.0 + 1e-12)
-        snaps = [(t, f) for t, f in snaps if t >= cutoff]
     coeff = recursion_coefficient(params)
     upper = _side_check(snaps, params, coeff, n_max)
     lower = _side_check(_negated(snaps), params, coeff, n_max)

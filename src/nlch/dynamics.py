@@ -2,69 +2,66 @@
 
     d/dt phi = Laplacian(mu),   mu = F'(phi) - J*phi,
 
-by a first-order convex splitting: the convex entropy derivative F' is
-implicit, the nonlocal term explicit,
+by a first-order convex splitting (backward Euler in F', J*phi explicit):
 
     phi^{n+1} - dt * Lap F'(phi^{n+1}) = phi^n - dt * Lap (J*phi^n) =: r.
 
-The implicit system is a fixed point of the stabilized Picard map g.  With
-L_m = max(alpha_bar, max_x F''(phi^m)) one application is a constant-coefficient
-Helmholtz solve, exact in spectral space:
+step owns the scheme: per attempt it builds dt_eff |k|^2 = dt |k|^2 and
+rhat = (1 + dt |k|^2 J^) phi^n^hat, J^ the kernel's symbol.  The solve,
+_attempt_inner_solve, knows no state and no kernel: it solves
 
-    (1 + dt L_m |k|^2) g(phi^m)^hat = rhat - dt |k|^2 (F'(phi^m) - L_m phi^m)^hat.
+    phi^hat + dt_eff |k|^2 F'(phi)^hat = rhat
+
+for the rhat and dt_eff it is given, as the fixed point of a stabilized Picard
+map g.  With L_m = max(alpha_bar, max_x F''(phi^m)) one application of g is a
+constant-coefficient Helmholtz solve, exact in spectral space:
+
+    (1 + dt_eff L_m |k|^2) g(phi^m)^hat
+        = rhat - dt_eff |k|^2 (F'(phi^m) - L_m phi^m)^hat.
 
 Alone it contracts like 1 - min F'' / L_m, which crawls once the separation
-margin is small.  The iteration is therefore Anderson-mixed (type II, Walker &
-Ni 2011): with residuals f_m = g(phi^m) - phi^m and the differences dF, dG of
-the last ANDERSON_DEPTH residuals and Picard images,
+margin is small, so the iteration is Anderson-mixed (type II, Walker & Ni
+2011): with residuals f_m = g(phi^m) - phi^m and the differences dF, dG of the
+last ANDERSON_DEPTH residuals and Picard images,
 
     phi^{m+1} = g(phi^m) - dG gamma,   gamma = argmin |f_m - dF gamma|_2,
 
 solved through the normal equations, whose Gram matrix gains one row per
-iteration.  A singular Gram matrix restarts the history.  Every g has the
-k = 0 mode of phi^n and the mixing is affine, so mass is kept by construction.
+iteration; a singular Gram matrix restarts the history.  Every g has the
+k = 0 mode of rhat and the mixing is affine, so mass is kept by construction.
 
 Any candidate leaving max|phi| <= 1 - eps_safe is halved back toward the
 current iterate (up to MAX_UPDATE_HALVINGS times, else the attempt fails), so
 the singular entropy is never evaluated outside (-1, 1); clamping values would
 silently corrupt the separation diagnostics.  The attempt converges when the
-Picard increment sup|g(phi^m) - phi^m| is at most inner_tol, and returns
-g(phi^m).  The increment is measured before mixing and guarding: a halved
-candidate moves little even where the iterate is parked against the bound and
-far from a solution.  If the inner iteration does not converge, dt is halved
-and the step retried; below dt_min the step fails with the last increment.
-The mean is restored after each accepted step to absorb transform roundoff.
+Picard increment sup|g(phi^m) - phi^m|, measured before mixing and guarding
+(a halved candidate moves little even far from a solution), is at most
+inner_tol, and returns g(phi^m).  If it does not converge, dt is halved and
+the step retried; below dt_min the step fails with the last increment.  The
+mean is restored after each accepted step to absorb transform roundoff.
 
 Warm start.  Strict separation makes the trajectory smooth in time, so each
 solve starts from a Lagrange extrapolant at t* = t + dt through the current
-state and earlier accepted states (the last HISTORY_DEPTH = 5 of them are kept
-on the state as `history`, newest first, as references to their own arrays).
-The cubic, through four nodes, is O(dt^4) from the answer where phi^n is O(dt)
-from it.  With nodes t_j the weights are
+state and the last HISTORY_DEPTH = 5 accepted states (`history`, newest
+first, references to their own arrays).  The cubic, through four nodes, is
+O(dt^4) from the answer where phi^n is O(dt).  With nodes t_j the weights
 
     w_j = prod_{i != j} (t* - t_i) / (t_j - t_i),   sum_j w_j = 1,
 
-so unequal steps (dt halvings, the last step clipped to t_end) need no special
-case and the mean is kept.  The order is chosen per step.  When all six nodes
-are equally spaced (to 1e-12 relative) and t* lies one full step ahead, the
-backward differences estimate each extrapolant's error: the cubic's is
-|P_4 - P_3| = |del^4 phi^n| (weights 1, -4, 6, -4, 1) and the quartic's is
-|P_5 - P_4| = |del^5 phi^n|.  The quartic (EXTRAPOLATION_ORDER) is used iff
-max|del^5| < max|del^4|, both maxima taken on a strided sub-grid (every point
-in 1D up to 256, 8 points per axis in 2D and 3D), so the choice costs a few
-small arrays.  Where the differences stop shrinking, the quartic's larger
-Lebesgue constant would only amplify solve noise, and the cubic is kept.  With
-fewer nodes, a halving in the window or a clipped step, the guess is the cubic
-(or lower, right after init_state).  The guess only moves where the iteration
-starts: the fixed point, the stopping rule and the guard are those above.  Two
-cases start from phi^n instead.  A guess outside max|phi| <= 1 - eps_safe
-would put F' out of bounds.  And when the last step moved no more than the
-solve noise the extrapolant amplifies, sup|phi^n - phi^{n-1}| <= Lambda *
-inner_tol with the chosen order's Lebesgue constant Lambda = sum_j |w_j| (15
-for the cubic and 31 for the quartic at equal dt), the extrapolant is noise:
-near equilibrium it would inject ~Lambda * inner_tol of it into every step.
-The two extra history entries keep two more earlier phi arrays alive than a
-cubic-only history would: 0.26 MB at 128^2, 4 MB at 64^3.
+need no special case for unequal steps (halvings, the last step clipped to
+t_end) and keep the mean.  When all six nodes are equally spaced (to 1e-12
+relative) and t* lies one full step ahead, the quartic (EXTRAPOLATION_ORDER)
+is used iff max|del^5 phi^n| < max|del^4 phi^n|, the quartic's and the
+cubic's errors |P_5 - P_4| and |P_4 - P_3|, both taken on a strided sub-grid
+(every point in 1D up to 256, 8 per axis in 2D and 3D).  Where the
+differences stop shrinking, the quartic's larger Lebesgue constant would only
+amplify solve noise.  Otherwise the guess is the cubic (or lower, right after
+init_state).  Two cases start from phi^n instead: a guess outside
+max|phi| <= 1 - eps_safe, and a last move sup|phi^n - phi^{n-1}| <= Lambda *
+inner_tol with Lambda = sum_j |w_j| (15 for the cubic, 31 for the quartic at
+equal dt), where the extrapolant is noise and near equilibrium would inject
+~Lambda * inner_tol of it into every step.  The guess only moves where the
+iteration starts.  The history costs five phi arrays: 0.65 MB at 128^2.
 
 Scratch.  step runs out of one private workspace per grid (lru-cached on the
 Grid, up to four grids), which every attempt of every step overwrites: the
@@ -73,24 +70,19 @@ the F' and Picard buffers, the alternating residual, image and candidate
 arrays, the Anderson ring with its Gram matrix, and the warm-start guess.
 FFTs and ufuncs write into it through out=, in the same operations and order
 as the expression forms, so results are bit-identical to allocating ones.
-Nothing that outlives a call is a view of it: phi, phi_hat and the history
-entries of a returned state are fresh arrays, and so is a solved attempt.
-Because the workspace is shared, step is not reentrant: do not step states
-of one grid from several threads at once.  The first step on a grid builds
-its workspace, about 22 grid-sized float64 arrays (2.8 MB at 128^2, 44 MB at
-64^3), which stays allocated while the grid is among the four most recently
-stepped.
+Nothing that outlives a call is a view of it.  Because the workspace is
+shared, step is not reentrant: do not step states of one grid from several
+threads at once.  It holds about 22 grid-sized float64 arrays (2.8 MB at
+128^2, 44 MB at 64^3) while the grid is among the four most recently stepped.
 
-The step's tail.  The state carries phi and phi_hat, its spectrum, which the
-next step's rhat reuses; mu and J*phi are not carried.  diagnostics builds
-them from phi where they are read: a row through its array helper, any other
-caller through chemical_potential.  The accepted iterate is irfft(g_hat), so
-phi_hat is a copy of the solve's g_hat with its k = 0 entry set to the
-restored mean; only when the final candidate was halved toward the iterate
-(it is then not irfft(g_hat)) is phi transformed again.  That phi_hat equals rfftn(phi) to roundoff, not
-bit for bit.  The dissipation increment dt ||grad mu||^2 is a Parseval sum
-over mu_hat = F'(phi)^hat - cell_volume J^ phi_hat, built in the workspace,
-so a step costs two transforms per inner iteration and one after the solve.
+The step's tail.  The state carries phi and its spectrum phi_hat, which the
+next rhat reuses; diagnostics builds mu and J*phi from phi where they are
+read.  phi_hat is a copy of the solve's g_hat with its k = 0 entry set to the
+restored mean, equal to rfftn(phi) to roundoff; only when the final candidate
+was halved (it is then not irfft(g_hat)) is phi transformed again.  The
+dissipation increment dt ||grad mu||^2 is a Parseval sum over
+mu_hat = F'(phi)^hat - J^ phi_hat, so a step costs two transforms per inner
+iteration and one after the solve.
 """
 
 from __future__ import annotations
@@ -168,12 +160,12 @@ class InitialData:
             raise ValueError(f"unknown initial mode {self.mode!r}")
         if not self.delta0 > 0.0:
             raise ValueError(f"delta0 must be positive, got {self.delta0}")
-        if abs(self.m) >= 1.0:
+        if not abs(self.m) < 1.0:  # each check is written so that a NaN fails it
             raise ValueError(f"pure phase mean: |m| = {abs(self.m)} >= 1")
         if self.mode in ("constant", "tanh"):
-            if self.noise_amplitude < 0.0:
+            if not self.noise_amplitude >= 0.0:
                 raise ValueError("noise_amplitude must be nonnegative")
-            if abs(self.m) + self.noise_amplitude > 1.0 - self.delta0:
+            if not abs(self.m) + self.noise_amplitude <= 1.0 - self.delta0:
                 raise ValueError(
                     f"amplitude violates the delta0 bound: |m| + a = "
                     f"{abs(self.m) + self.noise_amplitude} > 1 - delta0 = {1.0 - self.delta0}"
@@ -267,25 +259,20 @@ def init_state(
 
 
 def _attempt_inner_solve(
-    state: SimState,
-    dt: float,
+    grid: Grid,
+    r_hat: np.ndarray,
+    dt_k2: np.ndarray,
+    start: np.ndarray,
     cfg: StepperConfig,
-    kernel: Kernel,
     p: pot.PotentialParams,
-    guess: np.ndarray | None = None,
 ):
-    """One implicit solve from state at fixed dt, started at guess (default
-    phi^n).  Returns (values, values_hat, iters) with fresh values and, unless
-    the final candidate was halved, their spectrum g_hat as a fresh array
-    (else None); or (None, None, residual)."""
-    grid = kernel.grid
+    """Solve phi^ + dt_k2 F'(phi)^ = r_hat on grid from start; dt_k2 = dt_eff
+    |k|^2 and r_hat are the scheme's, in rfftn layout, and no input is written.
+    Returns (values, values_hat, iters) with fresh values and, unless the final
+    candidate was halved, their spectrum g_hat as a fresh array (else None);
+    or (None, None, residual)."""
     ws = _workspace(grid)
-    dt_k2 = np.multiply(dt, grid.k_squared, out=ws.dt_k2)
-    helmholtz = np.multiply(kernel.spectral_multiplier, grid.cell_volume, out=ws.helmholtz)
-    helmholtz *= dt_k2
-    helmholtz += 1.0
-    r_hat = np.multiply(state.phi_hat, helmholtz, out=ws.r_hat)
-    g_hat = ws.g_hat
+    helmholtz, g_hat = ws.helmholtz, ws.g_hat
 
     # Anderson history: differences of residuals f = g - phi and of Picard
     # images g over the last ANDERSON_DEPTH iterations, in ring-buffer slots
@@ -294,14 +281,13 @@ def _attempt_inner_solve(
     f_prev = g_prev = None
 
     bound = 1.0 - cfg.safety_margin
-    phi = state.phi.values if guess is None else guess
-    amax = max_abs(phi)
+    phi, amax = start, max_abs(start)
     for it in range(1, cfg.inner_max_iters + 1):
         lam = max(p.alpha_bar, pot.second_derivative(p, amax))
         work = pot.derivative(p, phi, out=ws.work)
         np.subtract(work, np.multiply(lam, phi, out=ws.tmp), out=work)
         np.fft.rfftn(work, out=g_hat)
-        g_hat *= dt_k2  # in place: (r_hat - dt k^2 g_hat) / (1 + dt lam k^2)
+        g_hat *= dt_k2  # in place: (r_hat - dt_k2 g_hat) / (1 + lam dt_k2)
         np.subtract(r_hat, g_hat, out=g_hat)
         np.multiply(lam, dt_k2, out=helmholtz)
         helmholtz += 1.0
@@ -424,7 +410,13 @@ def step(
     last_residual = np.inf
     while True:
         guess = _warm_start(nodes, state.t + dt_try, cfg, out=ws.guess, tmp=ws.tmp)
-        solved, phi_hat, info = _attempt_inner_solve(state, dt_try, cfg, kernel, p, guess)
+        # backward Euler: dt_eff = dt, r_hat = (1 + dt |k|^2 J^) phi_hat^n
+        dt_k2 = np.multiply(dt_try, grid.k_squared, out=ws.dt_k2)
+        helmholtz = np.multiply(dt_k2, kernel.symbol, out=ws.helmholtz)
+        helmholtz += 1.0
+        r_hat = np.multiply(state.phi_hat, helmholtz, out=ws.r_hat)
+        start = phi_n if guess is None else guess
+        solved, phi_hat, info = _attempt_inner_solve(grid, r_hat, dt_k2, start, cfg, p)
         if solved is not None:
             iters = info
             break
@@ -446,9 +438,7 @@ def step(
     phi_hat.setflags(write=False)
     # ||grad mu||^2 by Parseval, mu_hat = F'(phi)^hat - J^ phi_hat
     mu_hat = np.fft.rfftn(pot.derivative(p, solved, out=ws.work), out=ws.g_hat)
-    j_phi_hat = np.multiply(kernel.spectral_multiplier, phi_hat, out=ws.r_hat)
-    j_phi_hat *= grid.cell_volume
-    mu_hat -= j_phi_hat
+    mu_hat -= np.multiply(kernel.symbol, phi_hat, out=ws.r_hat)
     grad_mu_sq = h1_seminorm_sq_of_spectrum(grid, mu_hat, scratch=(ws.dt_k2, ws.helmholtz))
     dissip = state.dissipation_accum + dt_try * grad_mu_sq
     return SimState(

@@ -98,6 +98,8 @@ def solve_stationary(
         raise ValueError(f"pure phase mean: |m| = {abs(m)} >= 1")
     if not (0.0 < omega <= 1.0):
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
+    if not (max_iters >= 1 and tol > 0.0):
+        raise ValueError(f"require max_iters >= 1 and tol > 0, got {max_iters} and {tol}")
     if max_abs(guess.values) >= 1.0:
         raise ValueError("guess must satisfy max|guess| < 1")
 

@@ -1,10 +1,11 @@
-"""Interaction kernels: discretization, spectral multipliers, convolution.
+"""Interaction kernels: discretization, spectral symbol, convolution.
 
 Kernels are sampled at nearest-image distance on the grid and transformed
-once; convolution is then a pointwise multiply in spectral space scaled by
-cell_volume, so it approximates the integral J*f on the torus.  Even symmetry
-J(x) = J(-x) holds exactly on the grid by construction, which makes the
-multiplier real.  convolve_values is the one convolution body, for arrays;
+once into their symbol, cell_volume * rfftn(samples), the one place the
+quadrature scale enters: symbol * f^ is the transform of the integral J*f on
+the torus, and every spectral use of J reads Kernel.symbol.  Even symmetry
+J(x) = J(-x) holds exactly on the grid by construction, which makes the symbol
+real.  convolve_values is the one convolution body, for arrays;
 convolve wraps it for Fields on the kernel's grid.  A Kernel compares and
 hashes by what built it (family, grid, params), not by its arrays.
 """
@@ -30,7 +31,7 @@ class Kernel:
     grid: Grid
     params: dict
     samples: np.ndarray = field(compare=False)
-    spectral_multiplier: np.ndarray = field(compare=False)
+    symbol: np.ndarray = field(compare=False)  # cell_volume * rfftn(samples), real
     j_integral: float = field(compare=False)
     grad_j_l1: float = field(compare=False)
 
@@ -104,16 +105,16 @@ def build_kernel(
             outer = amplitude / (4.0 * np.pi * np.where(r > 0, r, 1.0) ** 2)
         grad_abs = np.where(r > molli_radius, outer, 0.0)
 
+    cv = grid.cell_volume
     mult = np.fft.rfftn(samples)
     scale = max(float(np.max(np.abs(mult))), 1.0)
     if max_abs(mult.imag) > 1e-12 * scale:
-        raise AssertionError("kernel spectral multiplier is not real; symmetry broken")
-    mult_real = np.ascontiguousarray(mult.real)
-    mult_real.setflags(write=False)
+        raise AssertionError("kernel spectral symbol is not real; symmetry broken")
+    symbol = cv * mult.real
+    symbol.setflags(write=False)
     samples = np.ascontiguousarray(samples)
     samples.setflags(write=False)
 
-    cv = grid.cell_volume
     j_integral = float(samples.sum() * cv)
     grad_j_l1 = float(grad_abs.sum() * cv)
     if not (np.isfinite(j_integral) and j_integral > 0.0):
@@ -126,14 +127,14 @@ def build_kernel(
         grid=grid,
         params=params,
         samples=samples,
-        spectral_multiplier=mult_real,
+        symbol=symbol,
         j_integral=j_integral,
         grad_j_l1=grad_j_l1,
     )
 
 
 def convolve(kernel: Kernel, f: Field) -> Field:
-    """Periodic convolution J*f via the spectral multiplier."""
+    """Periodic convolution J*f via the kernel's spectral symbol."""
     if kernel.grid != f.grid:
         raise ValueError(
             f"kernel grid {kernel.grid} does not match field grid {f.grid}"
@@ -144,7 +145,4 @@ def convolve(kernel: Kernel, f: Field) -> Field:
 def convolve_values(kernel: Kernel, values: np.ndarray) -> np.ndarray:
     """Array-level convolve for inner loops (no Field wrapping/validation):
     J*f as a fresh array."""
-    g = kernel.grid
-    out = irfft(g, kernel.spectral_multiplier * np.fft.rfftn(values))
-    out *= g.cell_volume
-    return out
+    return irfft(kernel.grid, kernel.symbol * np.fft.rfftn(values))

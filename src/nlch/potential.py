@@ -148,8 +148,10 @@ def check_endpoint_asymptotics(
     ds = [float(d) for d in deltas]
     if not ds:
         raise ValueError("need at least one delta")
-    if any(not (0.0 < d <= 0.1) for d in ds):
-        raise ValueError(f"deltas must lie in (0, 0.1], got {ds}")
+    # F' and F'' are evaluated at 1 - 2 delta as rounded: it must keep the floor
+    if any(not (0.0 < d <= 0.1 and 1.0 - (1.0 - 2.0 * d) >= SEPARATION_FLOOR) for d in ds):
+        raise ValueError(f"deltas must lie in (0, 0.1] with 1 - (1 - 2 delta) at least "
+                         f"the potential's floor {SEPARATION_FLOOR:.0e}, got {ds}")
 
     curv, slope, curv_m, slope_m = [], [], [], []
     for d in ds:

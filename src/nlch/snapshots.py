@@ -62,7 +62,10 @@ def read_snapshot(path, expected_grid: Grid | None = None) -> tuple[Field, float
             f"{path}: grid mismatch, file has {grid}, expected {expected_grid}"
         )
     values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(grid.shape)
-    return Field(grid, values), float(t)
+    try:
+        return Field(grid, values), float(t)
+    except ValueError as exc:  # a NaN or inf in the payload
+        raise SnapshotError(f"{path}: {exc}") from exc
 
 
 def read_snapshot_dir(directory, expected_grid: Grid | None = None) -> list[tuple[float, Field]]:

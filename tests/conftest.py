@@ -10,6 +10,7 @@ separates by t ~ 4 and settles onto a two-domain state with separation margin
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from nlch import (
     run,
     standard_monitors,
 )
+from nlch.snapshots import MAGIC
 
 CANON = dict(
     n=128,
@@ -46,6 +48,14 @@ CANON = dict(
 def gaussian_amplitude(j_target: float, width: float, dim: int) -> float:
     """Amplitude giving an analytic kernel integral of j_target."""
     return j_target / (2.0 * np.pi * width**2) ** (dim / 2.0)
+
+
+def write_non_finite_snapshot(grid: Grid, path, bad: float = np.nan, t: float = 0.0) -> None:
+    """A well-formed snapshot file whose payload holds bad at one point."""
+    values = np.full(grid.shape, 0.1)
+    values.flat[grid.size // 2] = bad
+    header = struct.pack("<6sBIdd", MAGIC, grid.dim, grid.n_per_axis, grid.edge_length, t)
+    path.write_bytes(header + values.astype("<f8").tobytes())
 
 
 @dataclass

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from nlch.cli import main
@@ -10,6 +11,8 @@ from nlch.degiorgi import level_set_measures
 from nlch.diagnostics import csv_header
 from nlch.grid import Grid
 from nlch.snapshots import read_snapshot_dir
+
+from conftest import write_non_finite_snapshot
 
 mp.mp.dps = 50
 
@@ -245,6 +248,92 @@ class TestDeGiorgiCommand:
         assert "[upper] separated = true" in out
         assert "[lower] separated = true" in out
         assert any(line.startswith("[upper] n=0 ") for line in out.splitlines())
+
+
+    def test_window_keeps_the_snapshots_of_the_last_window(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        make_config(tmp_path, out, t_end=6.0)
+        assert main(["simulate", str(tmp_path / "run.conf")]) == 0
+        times = [t for t, _ in read_snapshot_dir(out, expected_grid=Grid(1, 32, 4.0))]
+        assert len(times) == 201
+        # the cut 4.485 falls between snapshots (stride 0.03), clear of roundoff
+        for window, expected in ((1.515, 51), (0.0, 201)):  # 0: the full span
+            if window > 0.0:
+                assert sum(t >= times[-1] - window for t in times) == expected
+            cfg = make_config(tmp_path, out, t_end=6.0, extra=f"degiorgi.window = {window}\n")
+            capsys.readouterr()
+            assert main(["degiorgi", str(cfg), "--snapshots", str(out)]) == 0
+            assert parsed_kv(capsys.readouterr().out)["snapshots"] == str(expected)
+
+
+def one_error_line(capsys, kind: str) -> str:
+    """The single stderr line of a failed command, checked for its kind."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {kind}: "), err
+    return err[0]
+
+
+class TestRejectedArguments:
+    def test_lemma_b_not_above_one(self, capsys):
+        assert main(["lemma", "--C", "1", "--b", "0.5", "--eps", "1",
+                     "--y0", "0.5", "--n", "3"]) == 1
+        assert "b > 1" in one_error_line(capsys, "usage")
+
+    def test_constants_delta_above_a_quarter(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out")
+        assert main(["constants", str(cfg), "--delta", "0.3", "--c-p", "1",
+                     "--c-tau", "1", "--c-hat", "1"]) == 1
+        assert "delta" in one_error_line(capsys, "usage")
+
+    def test_equilibrium_omega_above_one(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out")
+        assert main(["equilibrium", str(cfg), "--omega", "2"]) == 1
+        assert "omega" in one_error_line(capsys, "usage")
+
+    def test_equilibrium_zero_max_iters(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out")
+        assert main(["equilibrium", str(cfg), "--max-iters", "0"]) == 1
+        assert "max_iters" in one_error_line(capsys, "usage")
+
+    def test_potential_check_delta_within_the_floor(self, tmp_path, capsys):
+        # 1 - (1 - 2e-16) rounds to 2.2e-16, under the potential's 1e-15 floor
+        cfg = make_config(tmp_path, tmp_path / "out")
+        assert main(["potential-check", str(cfg), "--deltas", "1e-2,1e-16"]) == 1
+        line = one_error_line(capsys, "usage")
+        assert "deltas" in line and "floor 1e-15" in line
+
+    @pytest.mark.parametrize("key", ["initial.m", "initial.noise_amplitude"])
+    def test_nan_initial_value(self, tmp_path, capsys, key):
+        cfg = make_config(tmp_path, tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace(f"{key} = ", f"{key} = nan  # "))
+        assert main(["simulate", str(cfg)]) == 1
+        assert "initial" in one_error_line(capsys, "config")
+
+
+class TestNonFiniteSnapshot:
+    def test_equilibrium_guess(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out")
+        bad = tmp_path / "bad.nlch"
+        write_non_finite_snapshot(Grid(1, 32, 4.0), bad)
+        assert main(["equilibrium", str(cfg), "--guess", str(bad)]) == 3
+        assert "bad.nlch" in one_error_line(capsys, "io")
+
+    def test_degiorgi_snapshots(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out")
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        write_non_finite_snapshot(Grid(1, 32, 4.0), snaps / "bad.nlch", np.inf)
+        assert main(["degiorgi", str(cfg), "--snapshots", str(snaps)]) == 3
+        assert "bad.nlch" in one_error_line(capsys, "io")
+
+    def test_simulate_snapshot_initial_data(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out")
+        bad = tmp_path / "bad.nlch"
+        write_non_finite_snapshot(Grid(1, 32, 4.0), bad)
+        cfg.write_text(cfg.read_text().replace(
+            "initial.mode = constant", f"initial.mode = snapshot\ninitial.snapshot = {bad}"))
+        assert main(["simulate", str(cfg)]) == 3
+        assert "bad.nlch" in one_error_line(capsys, "io")
 
 
 class TestExitCodes:

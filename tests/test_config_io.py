@@ -17,6 +17,8 @@ from nlch import (
 )
 from nlch.snapshots import MAGIC, read_snapshot_dir
 
+from conftest import write_non_finite_snapshot
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """
@@ -135,6 +137,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="snapshot"):
             parse_config(MINIMAL + "initial.snapshot = some/path.nlch\n")
 
+    @pytest.mark.parametrize("key", ["initial.m", "initial.noise_amplitude"])
+    def test_nan_initial_value_rejected(self, key):
+        with pytest.raises(ConfigError, match="initial"):
+            parse_config(MINIMAL + f"{key} = nan\n")
+
     def test_builders_produce_working_objects(self):
         cfg = parse_config(MINIMAL)
         assert cfg.grid == Grid(1, 32, 4.0)
@@ -216,6 +223,16 @@ class TestSnapshots:
         write_snapshot(Field.constant(grid, 0.1), 0.0, path)
         with pytest.raises(SnapshotError, match="grid mismatch"):
             read_snapshot(path, expected_grid=Grid(1, 16, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_the_path(self, tmp_path, bad):
+        grid = Grid(1, 8, 1.0)
+        path = tmp_path / "nonfinite.nlch"
+        write_non_finite_snapshot(grid, path, bad)
+        with pytest.raises(SnapshotError, match="nonfinite.nlch.*non-finite"):
+            read_snapshot(path)
+        with pytest.raises(SnapshotError, match="nonfinite.nlch"):
+            read_snapshot_dir(tmp_path)
 
     def test_read_dir_sorted_by_time(self, tmp_path):
         grid = Grid(1, 8, 1.0)

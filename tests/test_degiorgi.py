@@ -78,6 +78,10 @@ class TestGeometricDecayBound:
         with pytest.raises(ValueError):
             geometric_decay_bound(1.0, 2.0, -1.0, 0.1, 5)
 
+    def test_rejects_nan_start(self):
+        with pytest.raises(ValueError, match="y0"):
+            geometric_decay_bound(1.0, 2.0, 1.0, float("nan"), 5)
+
 
 class TestLevelSequence:
     def test_first_levels_delta_tenth(self):
@@ -293,19 +297,6 @@ class TestTrajectoryVerification:
         # the mirrored side sees -0.93, far below every level
         assert check.lower.separated
         assert np.all(check.lower.measures.y == 0.0)
-
-    def test_window_trimming(self):
-        grid = Grid(1, 16, 2.0)
-        snaps = make_snapshots(
-            grid, [(0.1 * i, 0.95 if i < 20 else 0.0) for i in range(41)]
-        )
-        params = DeGiorgiParams(
-            delta=0.1, alpha_bar=1.0, grad_j_l1=1.0, c_hat=1.0, c_p=1.0, c_tau=1.0
-        )
-        check = verify_scheme_on_trajectory(snaps, params, n_max=4, window=1.0)
-        # trimmed window [3.0, 4.0] contains only zeros
-        assert np.all(check.upper.measures.y == 0.0)
-        assert check.upper.measures.window[0] == pytest.approx(3.0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_measures_nonincreasing_across_seeds(self, seed):

@@ -40,6 +40,16 @@ from nlch.grid import irfft
 from conftest import gaussian_amplitude
 
 
+def backward_euler_attempt(st, dt, cfg, kernel, p, start=None):
+    """The inner solve of step's backward-Euler attempt from st at dt, started
+    at start (default phi^n)."""
+    grid = kernel.grid
+    dt_k2 = dt * grid.k_squared
+    r_hat = st.phi_hat * (1.0 + dt_k2 * kernel.symbol)
+    start = st.phi.values if start is None else start
+    return _attempt_inner_solve(grid, r_hat, dt_k2, start, cfg, p)
+
+
 @pytest.fixture
 def setup_small():
     grid = Grid(1, 64, 4.0)
@@ -72,7 +82,7 @@ class TestStepperConfig:
         st = init_state(grid, kernel, p, InitialData(mode="tanh", m=0.0, noise_amplitude=0.9))
         guess = st.phi.values.copy()
         guess[np.argmax(guess)] = 1.0 - cfg.safety_margin
-        _attempt_inner_solve(st, cfg.dt, cfg, kernel, p, guess)  # no PotentialDomainError
+        backward_euler_attempt(st, cfg.dt, cfg, kernel, p, guess)  # no PotentialDomainError
 
 
 class TestInitState:
@@ -234,7 +244,7 @@ def picard_reference(phi_n, dt, kernel, p, tol=1e-14, max_iters=20000):
     sup-norm increment of tol: the map the mixed solver accelerates."""
     grid = kernel.grid
     k2 = grid.k_squared
-    j_symbol = kernel.spectral_multiplier * grid.cell_volume
+    j_symbol = kernel.symbol
     r_hat = np.fft.rfftn(phi_n) * (1.0 + dt * k2 * j_symbol)
     phi = phi_n
     for _ in range(max_iters):
@@ -257,6 +267,30 @@ def strong_segregation(grid):
 
 
 class TestMixedInnerSolve:
+    @pytest.mark.parametrize("dt_eff", [1e-3, (2.0 / 3.0) * 2e-3])
+    @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+    def test_solves_a_foreign_right_hand_side(self, dim, n, dt_eff):
+        # a band-limited r that no backward-Euler step built, with BDF2's
+        # dt_eff = 2/3 dt among the steps; the inputs are read-only, so a
+        # write into any of them fails the test
+        grid = Grid(dim, n, 4.0)
+        p = PotentialParams(1.0, 2.0)
+        noise_hat = np.fft.rfftn(np.random.default_rng(dim).standard_normal(grid.shape))
+        noise_hat[grid.k_squared > (2 * np.pi * 4 / grid.edge_length) ** 2] = 0.0
+        r = irfft(grid, noise_hat)
+        r *= 0.95 / np.max(np.abs(r))
+        r_hat = np.fft.rfftn(r)
+        dt_k2 = dt_eff * grid.k_squared
+        for a in (r, r_hat, dt_k2):
+            a.setflags(write=False)
+        cfg = StepperConfig(dt=dt_eff, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
+        phi, _, iters = _attempt_inner_solve(grid, r_hat, dt_k2, r, cfg, p)
+        assert phi is not None and iters > 1
+        f_hat = np.fft.rfftn(potential_module.derivative(p, phi))
+        residual = irfft(grid, np.fft.rfftn(phi) + dt_k2 * f_hat - r_hat)
+        assert np.max(np.abs(residual)) <= 1e-9
+        assert abs(phi.mean() - r.mean()) <= 1e-14
+
     @pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
     def test_matches_converged_picard_near_separation(self, dim, n):
         grid = Grid(dim, n, 4.0)
@@ -267,7 +301,7 @@ class TestMixedInnerSolve:
         )
         assert 1.0 - lp_norm(st.phi, np.inf) < 0.05  # near the pure phases
         cfg = StepperConfig(dt=1e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
-        solved, _, iters = _attempt_inner_solve(st, cfg.dt, cfg, kernel, p)
+        solved, _, iters = backward_euler_attempt(st, cfg.dt, cfg, kernel, p)
         assert solved is not None
         ref = picard_reference(st.phi.values, cfg.dt, kernel, p)
         assert np.max(np.abs(solved - ref)) <= 1e-9
@@ -304,7 +338,7 @@ class TestMixedInnerSolve:
             InitialData(mode="constant", m=0.3, noise_amplitude=0.2, seed=11),
         )
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=200)
-        solved, _, iters = _attempt_inner_solve(st, cfg.dt, cfg, kernel, p)
+        solved, _, iters = backward_euler_attempt(st, cfg.dt, cfg, kernel, p)
         assert solved is not None and iters > 1
         assert abs(solved.mean() - st.phi.values.mean()) <= 1e-14
 
@@ -332,10 +366,11 @@ def count_attempts(monkeypatch):
     counts = {"rejected": 0, "warm": []}
     attempt = dynamics_module._attempt_inner_solve
 
-    def counting(state, dt, cfg, kernel, p, guess=None):
-        solved, solved_hat, info = attempt(state, dt, cfg, kernel, p, guess)
+    def counting(grid, r_hat, dt_k2, start, cfg, p):
+        solved, solved_hat, info = attempt(grid, r_hat, dt_k2, start, cfg, p)
         counts["rejected"] += solved is None
-        counts["warm"].append(guess is not None)
+        # a warm start is the guess _warm_start wrote into the workspace
+        counts["warm"].append(start is dynamics_module._workspace(grid).guess)
         return solved, solved_hat, info
 
     monkeypatch.setattr(dynamics_module, "_attempt_inner_solve", counting)
@@ -657,9 +692,9 @@ class TestSpectralTail:
         st = mid_run_state(grid, kernel, p, cfg, 5)
         attempt = dynamics_module._attempt_inner_solve
 
-        def halved(state, dt, cfg, kernel, p, guess=None):
+        def halved(grid, r_hat, dt_k2, start, cfg, p):
             # what the solve reports when its final candidate was halved
-            solved, _, info = attempt(state, dt, cfg, kernel, p, guess)
+            solved, _, info = attempt(grid, r_hat, dt_k2, start, cfg, p)
             return solved, None, info
 
         monkeypatch.setattr(dynamics_module, "_attempt_inner_solve", halved)

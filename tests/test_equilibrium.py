@@ -90,6 +90,13 @@ class TestSolveStationary:
         with pytest.raises(ValueError, match="guess"):
             solve_stationary(kernel, p, 0.0, Field.constant(grid, 1.0))
 
+    @pytest.mark.parametrize("tol, max_iters", [(1e-12, 0), (0.0, 10), (float("nan"), 10)])
+    def test_rejects_a_stopping_rule_that_cannot_hold(self, setup, tol, max_iters):
+        grid, kernel, p = setup
+        with pytest.raises(ValueError, match="max_iters >= 1 and tol > 0"):
+            solve_stationary(kernel, p, 0.0, Field.constant(grid, 0.0), tol=tol,
+                             max_iters=max_iters)
+
     def test_nonconvergence_flagged_not_raised(self, setup):
         grid, kernel, p = setup
         rng = np.random.default_rng(13)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nlch import Field, Grid, build_kernel, convolve, gradient, lp_norm, mean
+from nlch.grid import irfft
+from nlch.kernels import convolve_values
 
 
 def direct_convolve(kernel, f):
@@ -36,7 +38,7 @@ class TestBuildKernel:
     def test_dc_mode_equals_sample_sum(self, family, extra):
         g = Grid(1, 32, 4.0)
         k = build_kernel(family, g, amplitude=0.9, **extra)
-        dc = k.spectral_multiplier[(0,) * g.dim]
+        dc = k.symbol[(0,) * g.dim] / g.cell_volume
         assert dc == pytest.approx(k.j_integral / g.cell_volume, rel=1e-12)
 
     @pytest.mark.parametrize("family,extra,dim", [
@@ -51,6 +53,13 @@ class TestBuildKernel:
         for axis in range(dim):
             flipped = np.flip(np.roll(flipped, -1, axis=axis), axis=axis)
         assert np.all(k.samples == flipped)
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (3, 16)])
+    def test_symbol_is_the_scaled_transform_read_only(self, dim, n):
+        g = Grid(dim, n, 4.0)
+        k = build_kernel("gaussian", g, amplitude=1.0, width=0.5)
+        assert np.array_equal(k.symbol, g.cell_volume * np.fft.rfftn(k.samples).real)
+        assert not k.symbol.flags.writeable
 
     def test_summaries_positive(self):
         g = Grid(3, 16, 4.0)
@@ -112,7 +121,7 @@ class TestConvolve:
         f = Field(g, np.cos(2 * np.pi * x / g.edge_length))
         out = convolve(k, f)
         # convolution theorem: the mode is scaled by the symbol at its k
-        symbol = k.spectral_multiplier[1] * g.cell_volume
+        symbol = k.symbol[1]
         assert np.max(np.abs(out.values - symbol * f.values)) <= 1e-12
 
     @pytest.mark.parametrize("dim,n", [(1, 8), (3, 4)])
@@ -122,6 +131,16 @@ class TestConvolve:
         rng = np.random.default_rng(3)
         f = Field(g, rng.uniform(-1, 1, g.shape))
         assert np.max(np.abs(convolve(k, f).values - direct_convolve(k, f))) <= 1e-12
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (3, 16)])
+    def test_values_bit_equal_to_scaling_after_the_inverse(self, dim, n):
+        # on an edge-4 box cell_volume is a power of two, so scaling the
+        # symbol instead of the inverse transform changes no bit
+        g = Grid(dim, n, 4.0)
+        k = build_kernel("exponential", g, amplitude=1.3, width=0.5)
+        v = np.random.default_rng(5).uniform(-1, 1, g.shape)
+        scaled_after = irfft(g, np.fft.rfftn(k.samples).real * np.fft.rfftn(v)) * g.cell_volume
+        assert np.array_equal(convolve_values(k, v), scaled_after)
 
     def test_grid_mismatch_rejected(self):
         k = build_kernel("gaussian", Grid(1, 32, 4.0), amplitude=1.0, width=0.4)

@@ -299,3 +299,15 @@ class TestEndpointAsymptotics:
             check_endpoint_asymptotics(p1, [0.2])
         with pytest.raises(ValueError):
             check_endpoint_asymptotics(p1, [])
+
+    @pytest.mark.parametrize("delta", [1e-16, 5e-16, float("nan")])
+    def test_rejects_deltas_within_the_floor(self, p1, delta):
+        # 1 - (1 - 2 delta) rounds below SEPARATION_FLOOR (1e-15): the ratios
+        # cannot be evaluated, and that is a bad argument, not a lost separation
+        with pytest.raises(ValueError, match="deltas") as info:
+            check_endpoint_asymptotics(p1, [1e-2, delta])
+        assert not isinstance(info.value, PotentialDomainError)
+
+    def test_smallest_delta_above_the_floor_is_evaluated(self, p1):
+        rep = check_endpoint_asymptotics(p1, [6e-16])
+        assert math.isfinite(rep.curvature_scaled[0])
