@@ -20,7 +20,7 @@ from . import dynamics as dyn
 from . import equilibrium as eq
 from . import potential as pot
 from . import snapshots as snap
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, load_potential
 from .grid import Field, mean
 
 
@@ -254,12 +254,12 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_potential_check(args) -> int:
-    cfg = load_config(args.config)
+    p = load_potential(args.config)
     try:
         deltas = [float(part) for part in args.deltas.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"--deltas: {exc}") from exc
-    report = _checked(pot.check_endpoint_asymptotics, cfg.potential, deltas)
+    report = _checked(pot.check_endpoint_asymptotics, p, deltas)
     print(f"curvature_target = {_fmt(report.curvature_target)}")
     print(f"slope_target = {_fmt(report.slope_target)}")
     print("delta,curvature_scaled,slope_scaled,curvature_mirror,slope_mirror")
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
-    except ConfigError as exc:
+    except (ConfigError, dyn.InitialDataError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
     except (dyn.StepError, dyn.MonitorViolation, pot.PotentialDomainError) as exc:

@@ -8,7 +8,8 @@ class that owns the data, and its ValueError comes back as a ConfigError
 naming the section, so bad runs fail before any numerics start.  Unknown keys
 are rejected.  serialize_config reads the same table back off the objects and
 emits the resolved canonical form; parse(serialize(parse(text))) is a fixed
-point.
+point.  load_potential builds the potential alone, for commands that read
+nothing else.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ _KEYS = {
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def parse_config(text: str) -> RunConfig:
+def _values(text: str) -> dict[str, object]:
+    """The converted value of each key the text sets."""
     values: dict[str, object] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(rawline, maxsplit=1)[0].strip()
@@ -163,28 +165,47 @@ def parse_config(text: str) -> RunConfig:
             values[key] = _KEYS[key][0](raw_value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key}: {exc}") from exc
+    return values
 
-    fields: dict[str, dict[str, object]] = {section: {} for section in _BUILDERS}
+
+def _build(values: dict[str, object], sections) -> dict[str, object]:
+    """The objects of the named sections, built in the order given (the grid
+    before the kernel) from values."""
+    fields: dict[str, dict[str, object]] = {section: {} for section in sections}
     for key, (_, default, name) in _KEYS.items():
+        section = key.partition(".")[0]
+        if section not in fields:
+            continue
         if key not in values and default is _REQUIRED:
             raise ConfigError(f"missing required key {key}")
-        fields[key.partition(".")[0]][name] = values.get(key, default)
+        fields[section][name] = values.get(key, default)
 
     built: dict[str, object] = {}
-    for section, build in _BUILDERS.items():
+    for section in fields:
         if section == "kernel":
             fields[section]["grid"] = built["grid"]
         try:
-            built[section] = build(**fields[section])
+            built[section] = _BUILDERS[section](**fields[section])
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-    return RunConfig(**built)
+    return built
+
+
+def parse_config(text: str) -> RunConfig:
+    return RunConfig(**_build(_values(text), _BUILDERS))
 
 
 def load_config(path) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
+
+
+def load_potential(path) -> PotentialParams:
+    """The potential of a config file.  The whole file is parsed and its keys
+    checked, but only the potential.* keys are read: no grid or kernel is
+    built, and the other sections' values are not validated."""
+    return _build(_values(Path(path).read_text(encoding="utf-8")), ("potential",))["potential"]
 
 
 def _field(obj, name: str):

@@ -26,7 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import potential as pot
-from .grid import Field, lp_norm, max_abs
+from .grid import Field, lp_norm
+from .snapshots import uniform_stride
 
 #: fixed exponents of the truncation-scheme recursion
 RECURSION_BASE = 2.0**4.5
@@ -166,9 +167,8 @@ def _sorted_uniform(snapshots):
     if len(snaps) < 2:
         raise ValueError("need at least two snapshots to measure a window")
     times = np.array([t for t, _ in snaps])
-    diffs = np.diff(times)
-    stride = float(np.median(diffs))
-    if stride <= 0.0 or max_abs(diffs - stride) > 1e-9 * stride:
+    stride = uniform_stride(times)
+    if stride is None:
         raise ValueError("snapshots are not uniformly strided")
     return snaps, times, stride
 

@@ -42,26 +42,25 @@ mean is restored after each accepted step to absorb transform roundoff.
 
 Warm start.  Strict separation makes the trajectory smooth in time, so each
 solve starts from a Lagrange extrapolant at t* = t + dt through the current
-state and the last HISTORY_DEPTH = 5 accepted states (`history`, newest
-first, references to their own arrays).  The cubic, through four nodes, is
-O(dt^4) from the answer where phi^n is O(dt).  With nodes t_j the weights
+state and up to HISTORY_DEPTH = 9 earlier accepted states (`history`, newest
+first, references to their own arrays).  With nodes t_j the weights
 
     w_j = prod_{i != j} (t* - t_i) / (t_j - t_i),   sum_j w_j = 1,
 
 need no special case for unequal steps (halvings, the last step clipped to
-t_end) and keep the mean.  When all six nodes are equally spaced (to 1e-12
-relative) and t* lies one full step ahead, the quartic (EXTRAPOLATION_ORDER)
-is used iff max|del^5 phi^n| < max|del^4 phi^n|, the quartic's and the
-cubic's errors |P_5 - P_4| and |P_4 - P_3|, both taken on a strided sub-grid
-(every point in 1D up to 256, 8 per axis in 2D and 3D).  Where the
-differences stop shrinking, the quartic's larger Lebesgue constant would only
-amplify solve noise.  Otherwise the guess is the cubic (or lower, right after
-init_state).  Two cases start from phi^n instead: a guess outside
-max|phi| <= 1 - eps_safe, and a last move sup|phi^n - phi^{n-1}| <= Lambda *
-inner_tol with Lambda = sum_j |w_j| (15 for the cubic, 31 for the quartic at
-equal dt), where the extrapolant is noise and near equilibrium would inject
+t_end) and keep the mean.  The order p starts at the cubic, O(dt^4) from the
+answer where phi^n is O(dt).  Where all nodes are equally spaced (to 1e-12
+relative) and t* is one full step ahead, p climbs to p + 1 while the next
+backward difference shrinks, max|del^{p+2} phi^n| < max|del^{p+1} phi^n| on
+a strided sub-grid, up to EXTRAPOLATION_ORDER = 8 (_extrapolation_order);
+past that point a higher order's larger Lebesgue constant would only amplify
+solve noise.  Two cases start from phi^n instead: a guess outside max|phi| <=
+1 - eps_safe, and a last move sup|phi^n - phi^{n-1}| <= Lambda * inner_tol
+with Lambda = sum_j |w_j| (2^{p+1} - 1 at equal dt: 15 for the cubic, 511 for
+order 8), where the extrapolant is noise and near equilibrium would inject
 ~Lambda * inner_tol of it into every step.  The guess only moves where the
-iteration starts.  The history costs five phi arrays: 0.65 MB at 128^2.
+iteration starts.  The history costs nine phi arrays: 1.2 MB at 128^2, 18 MB
+at 64^3.
 
 Scratch.  step runs out of one private workspace per grid (lru-cached on the
 Grid, up to four grids), which every attempt of every step overwrites: the
@@ -100,17 +99,20 @@ from .snapshots import read_snapshot
 
 MAX_UPDATE_HALVINGS = 30
 ANDERSON_DEPTH = 5
-EXTRAPOLATION_ORDER = 4  # the warm start's highest order; else one below it
+EXTRAPOLATION_ORDER = 8  # the warm start's highest order; the cubic is the lowest
 HISTORY_DEPTH = EXTRAPOLATION_ORDER + 1  # earlier states the order choice reads
 ORDER_SAMPLE_POINTS = (256, 8, 8)  # per axis in 1D, 2D, 3D: where the choice looks
-# rows: the EXTRAPOLATION_ORDER-th and the next backward difference at the
-# newest of HISTORY_DEPTH + 1 nodes (newest first)
-_DIFFERENCES = np.diff(np.eye(HISTORY_DEPTH + 1), n=EXTRAPOLATION_ORDER, axis=0)
-_DIFFERENCES[1] = _DIFFERENCES[0] - _DIFFERENCES[1]
+# row k - 4: the k-th difference at the newest node (newest first), up to sign
+_DIFFERENCES = np.array([np.diff(np.eye(HISTORY_DEPTH + 1), k, axis=0)[0]
+                         for k in range(4, HISTORY_DEPTH + 1)])
 
 
 class StepError(RuntimeError):
     """Inner solver failed to converge at dt_min."""
+
+
+class InitialDataError(ValueError):
+    """Initial values outside InitialData's bounds, found once they are built."""
 
 
 class MonitorViolation(RuntimeError):
@@ -244,12 +246,12 @@ def init_state(
         phi0, _ = read_snapshot(initial.snapshot_path, expected_grid=grid)
         vals = np.array(phi0.values)
         if abs(vals.mean()) >= 1.0:
-            raise ValueError("pure phase mean in snapshot initial data")
+            raise InitialDataError(f"initial: pure phase mean in snapshot {initial.snapshot_path}")
 
     amax = max_abs(vals)
     if amax > 1.0 - initial.delta0:
-        raise ValueError(
-            f"initial data violates the delta0 bound: max|phi0| = {amax} > "
+        raise InitialDataError(
+            f"initial: initial data violates the delta0 bound: max|phi0| = {amax} > "
             f"{1.0 - initial.delta0}"
         )
     phi = Field(grid, vals)
@@ -345,24 +347,30 @@ def _lagrange_weights(nodes, t_star: float) -> list[float]:
     return w
 
 
-def _top_order_pays(nodes: tuple[tuple[float, np.ndarray], ...], t_star: float) -> bool:
-    """Whether the EXTRAPOLATION_ORDER extrapolant beats the one below it.
-    Only on HISTORY_DEPTH + 1 nodes equally spaced (to 1e-12 relative) with
-    t_star one full step ahead: there the lower order misses by about the
-    EXTRAPOLATION_ORDER-th backward difference at the newest node and the top
-    order by the next one, compared in sup norm on a strided sub-grid."""
+def _extrapolation_order(nodes: tuple[tuple[float, np.ndarray], ...], t_star: float) -> int:
+    """The warm start's order: the cubic, raised from p to p + 1 while
+    max|del^{p+2} phi^n| < max|del^{p+1} phi^n|, the errors of the orders
+    p + 1 and p (p + 3 nodes give both), up to EXTRAPOLATION_ORDER.  It climbs
+    only on nodes equally spaced (to 1e-12 relative) with t_star one full step
+    ahead; the differences are compared in sup norm on a strided sub-grid."""
+    count = len(nodes)
+    if count < 6:
+        return 3
     h = t_star - nodes[0][0]
     t_prev = t_star
     for t, _ in nodes:
         if abs(t_prev - t - h) > 1e-12 * h:
-            return False
+            return 3
         t_prev = t
     shape = nodes[0][1].shape
     per_axis = ORDER_SAMPLE_POINTS[len(shape) - 1]
     sub = tuple(slice(None, None, max(1, n // per_axis)) for n in shape)
-    sample = np.array([values[sub] for _, values in nodes]).reshape(len(nodes), -1)
-    lower, top = np.abs(np.einsum("ij,jk->ik", _DIFFERENCES, sample)).max(axis=1)
-    return bool(top < lower)
+    sample = np.array([values[sub] for _, values in nodes]).reshape(count, -1)
+    sizes = np.abs(np.einsum("ij,jk->ik", _DIFFERENCES[: count - 4, :count], sample)).max(axis=1)
+    order = 3
+    while order < count - 2 and sizes[order - 2] < sizes[order - 3]:
+        order += 1
+    return order
 
 
 def _warm_start(
@@ -372,16 +380,13 @@ def _warm_start(
     out: np.ndarray,
     tmp: np.ndarray,
 ) -> np.ndarray | None:
-    """The extrapolant at t_star through nodes (current state first), or None
-    to start from phi^n: too few nodes, a last move sup|phi^n - phi^{n-1}|
-    within the noise the weights amplify, or a guess outside the bound.  The
-    order is EXTRAPOLATION_ORDER where _top_order_pays, else one below it (or
-    fewer with fewer nodes).  The guess is written into out; tmp is scratch."""
+    """The extrapolant of _extrapolation_order's order at t_star through nodes
+    (current state first), or None to start from phi^n: too few nodes, a last
+    move sup|phi^n - phi^{n-1}| within the noise the weights amplify, or a
+    guess outside the bound.  The guess is written into out; tmp is scratch."""
     if len(nodes) < 2:
         return None
-    order = EXTRAPOLATION_ORDER - 1
-    if len(nodes) == HISTORY_DEPTH + 1 and _top_order_pays(nodes, t_star):
-        order = EXTRAPOLATION_ORDER
+    order = _extrapolation_order(nodes, t_star)
     w = _lagrange_weights([t for t, _ in nodes[: order + 1]], t_star)
     last_move = max_abs(np.subtract(nodes[0][1], nodes[1][1], out=tmp))
     if last_move <= sum(abs(w_j) for w_j in w) * cfg.inner_tol:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, max_abs
 
 MAGIC = b"NLCH1\x00"
 #: file name of a run's last state, written next to its strided snapshots
@@ -68,8 +68,21 @@ def read_snapshot(path, expected_grid: Grid | None = None) -> tuple[Field, float
         raise SnapshotError(f"{path}: {exc}") from exc
 
 
+def uniform_stride(times: np.ndarray) -> float | None:
+    """The spacing of at least two sorted times, their median difference, or
+    None where it is not uniform to 1e-9 relative (a NaN is not)."""
+    diffs = np.diff(times)
+    # np.median's arithmetic, without the numpy.ma import it costs (~14 ms)
+    middle = np.sort(diffs)[(diffs.size - 1) // 2 : diffs.size // 2 + 1]
+    stride = float(np.add.reduce(middle) / middle.size)
+    if not (stride > 0.0 and max_abs(diffs - stride) <= 1e-9 * stride):
+        return None
+    return stride
+
+
 def read_snapshot_dir(directory, expected_grid: Grid | None = None) -> list[tuple[float, Field]]:
-    """The strided *.nlch snapshots of a directory, sorted by stored time.
+    """The strided *.nlch snapshots of a directory, sorted by stored time;
+    SnapshotError where their times are not uniformly strided.
     FINAL_SNAPSHOT_NAME and EQUILIBRIUM_SNAPSHOT_NAME are skipped: the first
     repeats the time of a strided snapshot whenever the run ends on its stride,
     the second is stored at t = 0; either breaks uniform striding."""
@@ -81,4 +94,6 @@ def read_snapshot_dir(directory, expected_grid: Grid | None = None) -> list[tupl
         field, t = read_snapshot(path, expected_grid=expected_grid)
         out.append((t, field))
     out.sort(key=lambda pair: pair[0])
+    if len(out) > 1 and uniform_stride(np.array([t for t, _ in out])) is None:
+        raise SnapshotError(f"the snapshots in {directory} are not uniformly strided")
     return out

@@ -6,11 +6,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import nlch.cli
+import nlch.dynamics
 from nlch.cli import main
+from nlch.config import load_config
 from nlch.degiorgi import level_set_measures
 from nlch.diagnostics import csv_header
-from nlch.grid import Grid
-from nlch.snapshots import read_snapshot_dir
+from nlch.grid import Field, Grid
+from nlch.snapshots import read_snapshot_dir, write_snapshot
 
 from conftest import write_non_finite_snapshot
 
@@ -150,6 +153,11 @@ class TestKernelBuiltOnce:
         assert main(["degiorgi", str(cfg), "--snapshots", str(tmp_path / "out")]) == 0
         assert calls == ["gaussian"]
 
+    def test_potential_check_builds_none(self, tmp_path, monkeypatch):
+        calls = count_kernel_builds(monkeypatch)
+        assert main(["potential-check", str(make_config(tmp_path, tmp_path / "out"))]) == 0
+        assert calls == []
+
 
 class TestLemma:
     def test_unit_case_table(self, capsys):
@@ -206,6 +214,23 @@ class TestPotentialCheck:
         _, curv, slope, *_ = last.split(",")
         assert float(curv) == pytest.approx(0.25, abs=1e-7)
         assert float(slope) == pytest.approx(0.5, abs=1e-7)
+
+    def test_stdout_matches_the_full_config_load(self, tmp_path, capsys, monkeypatch):
+        cfg = make_config(tmp_path, tmp_path / "out", extra="potential.alpha0 = 2.5\n")
+        assert main(["potential-check", str(cfg), "--deltas", "1e-3,1e-5"]) == 0
+        alone = capsys.readouterr().out
+        monkeypatch.setattr(nlch.cli, "load_potential", lambda path: load_config(path).potential)
+        assert main(["potential-check", str(cfg), "--deltas", "1e-3,1e-5"]) == 0
+        assert capsys.readouterr().out == alone
+
+    def test_reads_only_the_potential_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "potential.conf"
+        cfg.write_text("potential.alpha_bar = 1.0  # no grid, kernel or run keys\n")
+        assert main(["potential-check", str(cfg)]) == 0
+        assert parsed_kv(capsys.readouterr().out)["slope_converged"] == "true"
+        cfg.write_text("potential.alpha_bar = 1.0\ngrid.bogus = 1\n")
+        assert main(["potential-check", str(cfg)]) == 1
+        assert "grid.bogus" in one_error_line(capsys, "config")
 
 
 class TestEquilibriumCommand:
@@ -301,6 +326,36 @@ class TestRejectedArguments:
         assert main(["potential-check", str(cfg), "--deltas", "1e-2,1e-16"]) == 1
         line = one_error_line(capsys, "usage")
         assert "deltas" in line and "floor 1e-15" in line
+
+    def test_degiorgi_snapshots_not_uniformly_strided(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out")
+        grid = Grid(1, 32, 4.0)
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        for k, t in enumerate((0.0, 0.1, 0.3)):
+            write_snapshot(Field(grid, np.full(grid.shape, 0.9)), t, snaps / f"s{k}.nlch")
+        assert main(["degiorgi", str(cfg), "--snapshots", str(snaps)]) == 3
+        assert "not uniformly strided" in one_error_line(capsys, "io")
+
+    def test_snapshot_initial_data_beyond_delta0(self, tmp_path, capsys):
+        # constant and tanh data are held to the bound at parse time, a snapshot once read
+        cfg = make_config(tmp_path, tmp_path / "out")
+        grid = Grid(1, 32, 4.0)
+        path = tmp_path / "steep.nlch"
+        sine = 0.99 * np.sin(2.0 * np.pi * grid.coordinate_mesh()[0] / grid.edge_length)
+        write_snapshot(Field(grid, sine), 0.0, path)
+        cfg.write_text(cfg.read_text().replace(
+            "initial.mode = constant", f"initial.mode = snapshot\ninitial.snapshot = {path}"))
+        assert main(["simulate", str(cfg)]) == 1
+        assert "delta0 bound" in one_error_line(capsys, "config")
+
+    def test_a_bug_in_init_state_stays_a_traceback(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("a bug, not an input error")
+
+        monkeypatch.setattr(nlch.dynamics, "init_state", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["simulate", str(make_config(tmp_path, tmp_path / "out"))])
 
     @pytest.mark.parametrize("key", ["initial.m", "initial.noise_amplitude"])
     def test_nan_initial_value(self, tmp_path, capsys, key):

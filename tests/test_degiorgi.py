@@ -165,6 +165,9 @@ class TestLevelSetMeasures:
         bad = make_snapshots(grid, [(0.0, 0.1), (0.1, 0.1), (0.35, 0.1)])
         with pytest.raises(ValueError, match="uniformly strided"):
             level_set_measures(bad, 0.1, 4)
+        nan_time = make_snapshots(grid, [(0.0, 0.1), (float("nan"), 0.1), (0.2, 0.1)])
+        with pytest.raises(ValueError, match="uniformly strided"):
+            level_set_measures(nan_time, 0.1, 4)
 
 
 class TestClosedFormConstants:

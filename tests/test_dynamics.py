@@ -29,6 +29,7 @@ from nlch import (
 import nlch.dynamics as dynamics_module
 import nlch.potential as potential_module
 from nlch.dynamics import (
+    EXTRAPOLATION_ORDER,
     HISTORY_DEPTH,
     SimState,
     _attempt_inner_solve,
@@ -557,6 +558,22 @@ class TestWarmStartOrder:
         # the cubic misses by the fourth difference, 24 c4 cos(x)
         assert np.max(np.abs(self.cubic_guess(nodes, t_star) - self.quartic(t_star))) > 1e-2
 
+    @pytest.mark.parametrize("degree", range(3, EXTRAPOLATION_ORDER + 1))
+    def test_degree_p_field_on_equal_steps_is_extrapolated_exactly(self, degree):
+        # terms of exp(0.3 s) up to s^degree: the backward differences shrink
+        # like 0.26^k up to the degree and vanish past it, so the order climbs to it
+        def f(t):
+            s = (t - 0.1) / 3e-3
+            return 0.5 * sum(
+                (0.3 * s) ** k / math.factorial(k) * np.cos(k * self.x) for k in range(degree + 1)
+            )
+
+        nodes = equal_step_nodes(f)
+        t_star = 0.1 + 3e-3
+        guess = _warm_start(nodes, t_star, self.cfg, *scratch(self.x))
+        exact = f(t_star)
+        assert np.max(np.abs(guess - exact)) <= 1e-13 * np.max(np.abs(exact))
+
     def test_alternating_noise_picks_the_cubic(self):
         # +-eps on alternate nodes: |del^5| = 32 eps > |del^4| = 16 eps
         def noisy(t):
@@ -600,6 +617,29 @@ class TestWarmStartOrder:
         assert guess is not None
         assert np.max(np.abs(guess - (0.2 + 32 * cfg.inner_tol + 2 * c4))) <= 1e-15
 
+    def test_lebesgue_gate_of_the_top_order(self):
+        # constant fields with a small degree-8 trend whose differences shrink,
+        # so the top order is chosen: at equal steps Lambda = 2^9 - 1 = 511
+        assert EXTRAPOLATION_ORDER == 8
+        cfg = StepperConfig(dt=1e-2, dt_min=1e-7, inner_tol=1e-10)
+        c = 1e-12
+
+        def trend(s):
+            return c * sum((-0.3 * s) ** k / math.factorial(k) for k in range(1, 9))
+
+        def nodes(move):
+            return equal_step_nodes(
+                lambda t: np.full(8, move * t / 0.01 + trend(t / 0.01)), h=0.01, t0=0.0
+            )
+
+        w = _lagrange_weights([t for t, _ in nodes(0.0)[:9]], 0.01)
+        assert sum(abs(w_j) for w_j in w) == pytest.approx(511.0)
+        buffers = scratch(np.empty(8))
+        assert _warm_start(nodes(510 * cfg.inner_tol), 0.01, cfg, *buffers) is None
+        guess = _warm_start(nodes(512 * cfg.inner_tol), 0.01, cfg, *buffers)
+        assert guess is not None
+        assert np.max(np.abs(guess - (512 * cfg.inner_tol + trend(1.0)))) <= 1e-18
+
     def test_history_ramps_to_its_depth(self, setup_small):
         grid, kernel, p = setup_small
         cfg = StepperConfig(dt=3e-3, dt_min=1e-7, inner_tol=1e-12, inner_max_iters=400)
@@ -608,7 +648,7 @@ class TestWarmStartOrder:
         for _ in range(HISTORY_DEPTH + 2):
             st = step(st, cfg, kernel, p)
             depths.append(len(st.history))
-        assert depths == [0, 1, 2, 3, 4, 5, 5, 5] and HISTORY_DEPTH == 5
+        assert depths == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9] and HISTORY_DEPTH == 9
 
 
 def state_arrays(st):
@@ -630,7 +670,7 @@ class TestWorkspace:
             InitialData(mode="constant", m=0.3, noise_amplitude=0.2, seed=11),
         )]
         saved = [{k: v.copy() for k, v in state_arrays(states[0]).items()}]
-        for _ in range(5):
+        for _ in range(HISTORY_DEPTH):
             states.append(step(states[-1], cfg, kernel, p))
             saved.append({k: v.copy() for k, v in state_arrays(states[-1]).items()})
         assert states[-1].last_inner_iters > 2 and len(states[-1].history) == HISTORY_DEPTH
