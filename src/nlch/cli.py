@@ -164,6 +164,13 @@ def _cmd_degiorgi(args) -> int:
     if window is not None:
         t_last = snaps[-1][0]
         snaps = [(t, f) for t, f in snaps if t >= t_last - window * (1.0 + 1e-12)]
+    # the measures need a uniform stride only inside the window: a step halved
+    # before it shifts the stored times there and nowhere else
+    where = args.snapshots if window is None else f"{args.snapshots} within window {window}"
+    if len(snaps) < 2:
+        raise snap.SnapshotError(f"need at least two snapshots in {where}, found {len(snaps)}")
+    if snap.uniform_stride(np.array([t for t, _ in snaps])) is None:
+        raise snap.SnapshotError(f"the snapshots in {where} are not uniformly strided")
 
     # trajectory estimates for the empirical constants
     margin = min(diag.separation_margin(f) for _, f in snaps)

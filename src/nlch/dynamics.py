@@ -49,18 +49,18 @@ first, references to their own arrays).  With nodes t_j the weights
 
 need no special case for unequal steps (halvings, the last step clipped to
 t_end) and keep the mean.  The order p starts at the cubic, O(dt^4) from the
-answer where phi^n is O(dt).  Where all nodes are equally spaced (to 1e-12
-relative) and t* is one full step ahead, p climbs to p + 1 while the next
-backward difference shrinks, max|del^{p+2} phi^n| < max|del^{p+1} phi^n| on
-a strided sub-grid, up to EXTRAPOLATION_ORDER = 8 (_extrapolation_order);
-past that point a higher order's larger Lebesgue constant would only amplify
-solve noise.  Two cases start from phi^n instead: a guess outside max|phi| <=
-1 - eps_safe, and a last move sup|phi^n - phi^{n-1}| <= Lambda * inner_tol
-with Lambda = sum_j |w_j| (2^{p+1} - 1 at equal dt: 15 for the cubic, 511 for
-order 8), where the extrapolant is noise and near equilibrium would inject
-~Lambda * inner_tol of it into every step.  The guess only moves where the
-iteration starts.  The history costs nine phi arrays: 1.2 MB at 128^2, 18 MB
-at 64^3.
+answer where phi^n is O(dt).  On the n newest nodes equally spaced (to
+1e-12 relative) with t* one full step ahead, p climbs to p + 1 <= n - 2
+while the next backward difference shrinks, max|del^{p+2} phi^n| <
+max|del^{p+1} phi^n| on a strided sub-grid, up to EXTRAPOLATION_ORDER = 8;
+past that point (_extrapolation_order) a higher order's larger Lebesgue
+constant would only amplify solve noise.  Two cases start from phi^n
+instead: a guess outside max|phi| <= 1 - eps_safe, and a last move
+sup|phi^n - phi^{n-1}| <= Lambda * inner_tol with Lambda = sum_j |w_j|
+(2^{p+1} - 1 at equal dt: 15 for the cubic, 511 for order 8), where the
+extrapolant is noise and near equilibrium would inject ~Lambda * inner_tol
+of it into every step.  The guess only moves where the iteration starts.
+The history costs nine phi arrays: 1.2 MB at 128^2, 18 MB at 64^3.
 
 Scratch.  step runs out of one private workspace per grid (lru-cached on the
 Grid, up to four grids), which every attempt of every step overwrites: the
@@ -349,23 +349,22 @@ def _lagrange_weights(nodes, t_star: float) -> list[float]:
 
 def _extrapolation_order(nodes: tuple[tuple[float, np.ndarray], ...], t_star: float) -> int:
     """The warm start's order: the cubic, raised from p to p + 1 while
-    max|del^{p+2} phi^n| < max|del^{p+1} phi^n|, the errors of the orders
-    p + 1 and p (p + 3 nodes give both), up to EXTRAPOLATION_ORDER.  It climbs
-    only on nodes equally spaced (to 1e-12 relative) with t_star one full step
-    ahead; the differences are compared in sup norm on a strided sub-grid."""
-    count = len(nodes)
-    if count < 6:
-        return 3
+    max|del^{p+2} phi^n| < max|del^{p+1} phi^n| (sup norms on a strided
+    sub-grid), the errors of the orders p + 1 and p, up to EXTRAPOLATION_ORDER.
+    It climbs on the newest nodes equally spaced (to 1e-12 relative) with
+    t_star one full step ahead, at most to their count minus 2."""
     h = t_star - nodes[0][0]
-    t_prev = t_star
+    t_prev, count = t_star, 0
     for t, _ in nodes:
         if abs(t_prev - t - h) > 1e-12 * h:
-            return 3
-        t_prev = t
+            break
+        t_prev, count = t, count + 1
+    if count < 6:
+        return 3
     shape = nodes[0][1].shape
     per_axis = ORDER_SAMPLE_POINTS[len(shape) - 1]
     sub = tuple(slice(None, None, max(1, n // per_axis)) for n in shape)
-    sample = np.array([values[sub] for _, values in nodes]).reshape(count, -1)
+    sample = np.array([values[sub] for _, values in nodes[:count]]).reshape(count, -1)
     sizes = np.abs(np.einsum("ij,jk->ik", _DIFFERENCES[: count - 4, :count], sample)).max(axis=1)
     order = 3
     while order < count - 2 and sizes[order - 2] < sizes[order - 3]:

@@ -81,8 +81,7 @@ def uniform_stride(times: np.ndarray) -> float | None:
 
 
 def read_snapshot_dir(directory, expected_grid: Grid | None = None) -> list[tuple[float, Field]]:
-    """The strided *.nlch snapshots of a directory, sorted by stored time;
-    SnapshotError where their times are not uniformly strided.
+    """The strided *.nlch snapshots of a directory, sorted by stored time.
     FINAL_SNAPSHOT_NAME and EQUILIBRIUM_SNAPSHOT_NAME are skipped: the first
     repeats the time of a strided snapshot whenever the run ends on its stride,
     the second is stored at t = 0; either breaks uniform striding."""
@@ -94,6 +93,4 @@ def read_snapshot_dir(directory, expected_grid: Grid | None = None) -> list[tupl
         field, t = read_snapshot(path, expected_grid=expected_grid)
         out.append((t, field))
     out.sort(key=lambda pair: pair[0])
-    if len(out) > 1 and uniform_stride(np.array([t for t, _ in out])) is None:
-        raise SnapshotError(f"the snapshots in {directory} are not uniformly strided")
     return out

@@ -13,7 +13,7 @@ from nlch.config import load_config
 from nlch.degiorgi import level_set_measures
 from nlch.diagnostics import csv_header
 from nlch.grid import Field, Grid
-from nlch.snapshots import read_snapshot_dir, write_snapshot
+from nlch.snapshots import read_snapshot, read_snapshot_dir, write_snapshot
 
 from conftest import write_non_finite_snapshot
 
@@ -289,6 +289,30 @@ class TestDeGiorgiCommand:
             capsys.readouterr()
             assert main(["degiorgi", str(cfg), "--snapshots", str(out)]) == 0
             assert parsed_kv(capsys.readouterr().out)["snapshots"] == str(expected)
+
+    def test_stride_is_checked_inside_the_window_only(self, tmp_path, capsys):
+        # snapshots land on step multiples, so a step halved early on moves the
+        # stored times after it by dt/2: here the first gap is 0.03 - 0.0015
+        out = tmp_path / "out"
+        make_config(tmp_path, out, t_end=6.0)
+        assert main(["simulate", str(tmp_path / "run.conf")]) == 0
+
+        def degiorgi(window):
+            cfg = make_config(tmp_path, out, t_end=6.0, extra=f"degiorgi.window = {window}\n")
+            capsys.readouterr()
+            return main(["degiorgi", str(cfg), "--snapshots", str(out)])
+
+        assert degiorgi(1.515) == 0
+        report = capsys.readouterr().out
+        first = out / "snapshot_00000000.nlch"
+        field, t = read_snapshot(first)
+        write_snapshot(field, t + 1.5e-3, first)
+        assert degiorgi(1.515) == 0
+        assert capsys.readouterr().out == report
+        assert degiorgi(0.0) == 3  # the full span holds the uneven gap
+        assert "not uniformly strided" in one_error_line(capsys, "io")
+        assert degiorgi(0.01) == 3  # one snapshot: the stride is 0.03
+        assert "need at least two snapshots" in one_error_line(capsys, "io")
 
 
 def one_error_line(capsys, kind: str) -> str:

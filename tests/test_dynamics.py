@@ -33,6 +33,7 @@ from nlch.dynamics import (
     HISTORY_DEPTH,
     SimState,
     _attempt_inner_solve,
+    _extrapolation_order,
     _lagrange_weights,
     _warm_start,
 )
@@ -573,6 +574,21 @@ class TestWarmStartOrder:
         guess = _warm_start(nodes, t_star, self.cfg, *scratch(self.x))
         exact = f(t_star)
         assert np.max(np.abs(guess - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("equal", range(5, HISTORY_DEPTH + 2))
+    def test_climb_uses_the_newest_equally_spaced_nodes(self, equal):
+        # a step halved after the oldest of the newest `equal` nodes: on a field
+        # whose differences shrink, the order climbs as far as they allow
+        def f(t):
+            s = (t - 0.1) / 3e-3
+            return 0.5 * sum(
+                (0.3 * s) ** k / math.factorial(k) * np.cos(k * self.x) for k in range(9)
+            )
+
+        times = [0.1 - k * 3e-3 for k in range(equal)]
+        times += [times[-1] - 1.5e-3 - k * 3e-3 for k in range(HISTORY_DEPTH + 1 - equal)]
+        nodes = tuple((t, f(t)) for t in times)
+        assert _extrapolation_order(nodes, 0.1 + 3e-3) == max(3, equal - 2)
 
     def test_alternating_noise_picks_the_cubic(self):
         # +-eps on alternate nodes: |del^5| = 32 eps > |del^4| = 16 eps
