@@ -21,7 +21,6 @@ from .diagnostics import (
     energy_alt,
     gn_constant_estimate,
     gn_ratio,
-    mu_linf,
     poincare_ratio,
     poincare_sweep,
     separation_margin,

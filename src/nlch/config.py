@@ -14,6 +14,7 @@ nothing else.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +50,7 @@ class RunSection:
     t_end: float
 
     def __post_init__(self) -> None:
-        _require(self.t_end >= 0.0, "run.t_end", "must be nonnegative")
+        _require(math.isfinite(self.t_end) and self.t_end >= 0, "run.t_end", "must be finite, >= 0")
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,6 @@ def _mu_and_j_phi(
     return mu, j_phi
 
 
-def mu_linf(mu: Field) -> float:
-    """Sup norm of the chemical potential."""
-    return lp_norm(mu, np.inf)
-
-
 def gn_ratio(u: Field) -> float:
     """Interpolation-norm ratio ||u||_{10/3} / (||u||^{2/5} ||u||_V^{3/5})."""
     if max_abs(u.values) == 0.0:

@@ -42,50 +42,49 @@ mean is restored after each accepted step to absorb transform roundoff.
 
 Warm start.  Strict separation makes the trajectory smooth in time, so each
 solve starts from a Lagrange extrapolant at t* = t + dt through the current
-state and up to HISTORY_DEPTH = 9 earlier accepted states (`history`, newest
-first, references to their own arrays).  With nodes t_j the weights
-
-    w_j = prod_{i != j} (t* - t_i) / (t_j - t_i),   sum_j w_j = 1,
-
-need no special case for unequal steps (halvings, the last step clipped to
-t_end) and keep the mean.  The order p starts at the cubic, O(dt^4) from the
-answer where phi^n is O(dt).  On the n newest nodes equally spaced (to
-1e-12 relative) with t* one full step ahead, p climbs to p + 1 <= n - 2
-while the next backward difference shrinks, max|del^{p+2} phi^n| <
-max|del^{p+1} phi^n| on a strided sub-grid, up to EXTRAPOLATION_ORDER = 8;
-past that point (_extrapolation_order) a higher order's larger Lebesgue
-constant would only amplify solve noise.  Two cases start from phi^n
-instead: a guess outside max|phi| <= 1 - eps_safe, and a last move
-sup|phi^n - phi^{n-1}| <= Lambda * inner_tol with Lambda = sum_j |w_j|
+state and up to HISTORY_DEPTH = 9 earlier accepted ones, copied into the
+slots of a ring (`history`, one (HISTORY_DEPTH + 1, *shape) array) by each
+accepted step.  Only the state that extended the ring last steps from it;
+any other (stepped twice, hand-built, restarted) starts a new ring, cold.
+The guess is one product w . ring, zero weights in unused slots.  The order
+p starts at the cubic, O(dt^4) from the answer where phi^n is O(dt).  On the
+n newest nodes equally spaced (to 1e-12 relative) with t* one full step
+ahead, p climbs to p + 1 <= n - 2 while the next backward difference shrinks,
+max|del^{p+2} phi^n| < max|del^{p+1} phi^n| on a strided sub-grid, up to
+EXTRAPOLATION_ORDER = 8; past that point a higher order's larger Lebesgue
+constant would only amplify solve noise.  Equal steps take the tabulated
+weights (-1)^j C(p + 1, j + 1); unequal ones (a halving, a step clipped to
+t_end) the cubic's w_j = prod_{i != j} (t* - t_i) / (t_j - t_i).  Two cases
+start from phi^n instead: a guess outside max|phi| <= 1 - eps_safe, and a
+last move sup|phi^n - phi^{n-1}| <= Lambda * inner_tol, Lambda = sum_j |w_j|
 (2^{p+1} - 1 at equal dt: 15 for the cubic, 511 for order 8), where the
-extrapolant is noise and near equilibrium would inject ~Lambda * inner_tol
-of it into every step.  The guess only moves where the iteration starts.
-The history costs nine phi arrays: 1.2 MB at 128^2, 18 MB at 64^3.
+extrapolant is noise and near equilibrium would inject ~Lambda * inner_tol of
+it into every step.  The ring costs ten arrays: 1.3 MB at 128^2.
 
 Scratch.  step runs out of one private workspace per grid (lru-cached on the
-Grid, up to four grids), which every attempt of every step overwrites: the
-per-attempt dt |k|^2 and Helmholtz symbols, rhat and the spectral iterate,
-the F' and Picard buffers, the alternating residual, image and candidate
-arrays, the Anderson ring with its Gram matrix, and the warm-start guess.
-FFTs and ufuncs write into it through out=, in the same operations and order
-as the expression forms, so results are bit-identical to allocating ones.
-Nothing that outlives a call is a view of it.  Because the workspace is
-shared, step is not reentrant: do not step states of one grid from several
-threads at once.  It holds about 22 grid-sized float64 arrays (2.8 MB at
-128^2, 44 MB at 64^3) while the grid is among the four most recently stepped.
+Grid, up to four grids) that every attempt of every step overwrites: symbols,
+rhat, spectral iterate, F' and Picard buffers, residual, image and candidate
+pairs, the Anderson ring and Gram matrix, and the guess.  FFTs and ufuncs
+write into it through out=, bit-identical to the allocating forms; nothing
+that outlives a call is a view of it.  So step is not reentrant: do not step
+one grid's states from several threads at once.  It holds about 22 grid
+arrays (2.8 MB at 128^2, 44 MB at 64^3) while the grid is among the last four.
 
 The step's tail.  The state carries phi and its spectrum phi_hat, which the
-next rhat reuses; diagnostics builds mu and J*phi from phi where they are
-read.  phi_hat is a copy of the solve's g_hat with its k = 0 entry set to the
-restored mean, equal to rfftn(phi) to roundoff; only when the final candidate
-was halved (it is then not irfft(g_hat)) is phi transformed again.  The
-dissipation increment dt ||grad mu||^2 is a Parseval sum over
-mu_hat = F'(phi)^hat - J^ phi_hat, so a step costs two transforms per inner
-iteration and one after the solve.
+next rhat reuses; diagnostics builds mu and J*phi where they are read.
+phi_hat is the solve's g_hat with its k = 0 entry set to the restored mean,
+rfftn(phi) to roundoff.  The dissipation dt ||grad mu||^2 is a Parseval sum
+over mu_hat, which the solve fixed: g_hat - phi^n^hat = -dt |k|^2 mu~_hat,
+mu~ = F'(phi^m) + L_m (g - phi^m) - J*phi^n, so for k != 0 mu_hat =
+-d_hat (1 + dt |k|^2 J^) / (dt |k|^2), d_hat = phi_hat - phi^n^hat, within
+L_m * inner_tol of F'(phi) - J*phi: two transforms per inner iteration and
+none after.  A halved final candidate (not irfft(g_hat)) is transformed
+again and its mu_hat built from F'(phi)^hat - J^ phi_hat.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -102,9 +101,21 @@ ANDERSON_DEPTH = 5
 EXTRAPOLATION_ORDER = 8  # the warm start's highest order; the cubic is the lowest
 HISTORY_DEPTH = EXTRAPOLATION_ORDER + 1  # earlier states the order choice reads
 ORDER_SAMPLE_POINTS = (256, 8, 8)  # per axis in 1D, 2D, 3D: where the choice looks
-# row k - 4: the k-th difference at the newest node (newest first), up to sign
-_DIFFERENCES = np.array([np.diff(np.eye(HISTORY_DEPTH + 1), k, axis=0)[0]
-                         for k in range(4, HISTORY_DEPTH + 1)])
+_SLOTS = HISTORY_DEPTH + 1  # history ring slots: the current state and the earlier ones
+
+
+def _by_slot(rows: list[list[int]]) -> np.ndarray:
+    """[head, ...]: rows[..., j], node j's (newest first), in slot (head - j) % _SLOTS."""
+    node = (np.arange(_SLOTS)[:, None] - np.arange(_SLOTS)) % _SLOTS  # [head, slot]
+    return np.ascontiguousarray(np.moveaxis(np.array(rows, dtype=float)[..., node], -2, 0))
+
+
+# [head, k - 4]: the k-th backward difference at the newest node, up to sign
+_DIFFERENCES = _by_slot([[(-1) ** j * math.comb(k, j) for j in range(_SLOTS)]
+                         for k in range(4, _SLOTS)])
+# [head, q]: the degree-q extrapolant one equal step ahead, (-1)^j C(q + 1, j + 1)
+_EQUAL_STEP_WEIGHTS = _by_slot(
+    [[(-1) ** j * math.comb(q + 1, j + 1) for j in range(_SLOTS)] for q in range(_SLOTS)])
 
 
 class StepError(RuntimeError):
@@ -164,6 +175,8 @@ class InitialData:
             raise ValueError(f"delta0 must be positive, got {self.delta0}")
         if not abs(self.m) < 1.0:  # each check is written so that a NaN fails it
             raise ValueError(f"pure phase mean: |m| = {abs(self.m)} >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mode in ("constant", "tanh"):
             if not self.noise_amplitude >= 0.0:
                 raise ValueError("noise_amplitude must be nonnegative")
@@ -187,9 +200,8 @@ class SimState:
     step_count: int
     last_inner_iters: int = 0
     last_dt: float = 0.0
-    # (t, phi values) of up to HISTORY_DEPTH earlier accepted states,
-    # newest first: the warm start's extra nodes
-    history: tuple[tuple[float, np.ndarray], ...] = ()
+    # the warm start's nodes, shared along one chain of steps; None: a cold start
+    history: _History | None = None
 
 
 def _tanh_profile(grid: Grid, width: float) -> np.ndarray:
@@ -201,6 +213,24 @@ def _tanh_profile(grid: Grid, width: float) -> np.ndarray:
         - np.tanh((x - 0.75 * L) / width)
         - 1.0
     )
+
+
+class _History:
+    """The last _SLOTS accepted phi of one chain of steps, copied into ring
+    slots (newest in slot head), and their times newest first.  newest is the
+    array it was last extended with: only the state holding it steps from it."""
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self.values = np.zeros((_SLOTS,) + shape)  # unused slots weigh 0: keep them finite
+        strides = [max(1, n // ORDER_SAMPLE_POINTS[len(shape) - 1]) for n in shape]
+        self.sample = self.values[(slice(None),) + tuple(slice(None, None, s) for s in strides)]
+        self.times, self.head, self.newest = [], -1, None
+
+    def push(self, t: float, values: np.ndarray) -> None:
+        self.head = (self.head + 1) % _SLOTS
+        np.copyto(self.values[self.head], values)
+        self.times = [t] + self.times[: _SLOTS - 1]
+        self.newest = values
 
 
 class _Workspace:
@@ -337,65 +367,52 @@ def _attempt_inner_solve(
 def _lagrange_weights(nodes, t_star: float) -> list[float]:
     """Weights w_j with sum_j w_j f(t_j) = P(t_star) for the interpolating
     polynomial P of degree len(nodes) - 1."""
-    w = []
-    for j, t_j in enumerate(nodes):
-        w_j = 1.0
-        for i, t_i in enumerate(nodes):
-            if i != j:
-                w_j *= (t_star - t_i) / (t_j - t_i)
-        w.append(w_j)
-    return w
+    return [math.prod((t_star - t_i) / (t_j - t_i) for i, t_i in enumerate(nodes) if i != j)
+            for j, t_j in enumerate(nodes)]
 
 
-def _extrapolation_order(nodes: tuple[tuple[float, np.ndarray], ...], t_star: float) -> int:
-    """The warm start's order: the cubic, raised from p to p + 1 while
-    max|del^{p+2} phi^n| < max|del^{p+1} phi^n| (sup norms on a strided
-    sub-grid), the errors of the orders p + 1 and p, up to EXTRAPOLATION_ORDER.
-    It climbs on the newest nodes equally spaced (to 1e-12 relative) with
-    t_star one full step ahead, at most to their count minus 2."""
-    h = t_star - nodes[0][0]
+def _extrapolation_order(ring: _History, t_star: float) -> tuple[int, int]:
+    """The warm start's order and the count of newest nodes equally spaced with
+    t_star one step ahead.  The cubic climbs from p to p + 1 while max|del^{p+2}
+    phi^n| < max|del^{p+1} phi^n|, up to EXTRAPOLATION_ORDER and count - 2."""
+    h = t_star - ring.times[0]
     t_prev, count = t_star, 0
-    for t, _ in nodes:
+    for t in ring.times:
         if abs(t_prev - t - h) > 1e-12 * h:
             break
         t_prev, count = t, count + 1
     if count < 6:
-        return 3
-    shape = nodes[0][1].shape
-    per_axis = ORDER_SAMPLE_POINTS[len(shape) - 1]
-    sub = tuple(slice(None, None, max(1, n // per_axis)) for n in shape)
-    sample = np.array([values[sub] for _, values in nodes[:count]]).reshape(count, -1)
-    sizes = np.abs(np.einsum("ij,jk->ik", _DIFFERENCES[: count - 4, :count], sample)).max(axis=1)
+        return 3, count
+    sample = ring.sample.reshape(_SLOTS, -1)
+    sizes = np.abs(np.einsum("ij,jk->ik", _DIFFERENCES[ring.head, : count - 4], sample)).max(axis=1)
     order = 3
     while order < count - 2 and sizes[order - 2] < sizes[order - 3]:
         order += 1
-    return order
+    return order, count
 
 
-def _warm_start(
-    nodes: tuple[tuple[float, np.ndarray], ...],
-    t_star: float,
-    cfg: StepperConfig,
-    out: np.ndarray,
-    tmp: np.ndarray,
-) -> np.ndarray | None:
-    """The extrapolant of _extrapolation_order's order at t_star through nodes
-    (current state first), or None to start from phi^n: too few nodes, a last
-    move sup|phi^n - phi^{n-1}| within the noise the weights amplify, or a
-    guess outside the bound.  The guess is written into out; tmp is scratch."""
-    if len(nodes) < 2:
+def _warm_start(ring: _History, t_star: float, cfg: StepperConfig,
+                out: np.ndarray, tmp: np.ndarray) -> np.ndarray | None:
+    """The extrapolant at t_star through the ring's nodes, written into out
+    (tmp is scratch), or None to start from phi^n: too few nodes, a last move
+    within the noise the weights amplify, or a guess outside the bound."""
+    if len(ring.times) < 2:
         return None
-    order = _extrapolation_order(nodes, t_star)
-    w = _lagrange_weights([t for t, _ in nodes[: order + 1]], t_star)
-    last_move = max_abs(np.subtract(nodes[0][1], nodes[1][1], out=tmp))
-    if last_move <= sum(abs(w_j) for w_j in w) * cfg.inner_tol:
+    order, count = _extrapolation_order(ring, t_star)
+    degree = min(order, len(ring.times) - 1)
+    if count > degree:  # the degree + 1 newest nodes are equally spaced
+        w, lebesgue = _EQUAL_STEP_WEIGHTS[ring.head, degree], 2.0 ** (degree + 1) - 1.0
+    else:  # negative slots wrap
+        w = np.zeros(_SLOTS)
+        w[ring.head - np.arange(degree + 1)] = _lagrange_weights(ring.times[: degree + 1], t_star)
+        lebesgue = float(np.abs(w).sum())
+    last_move = max_abs(np.subtract(ring.values[ring.head], ring.values[ring.head - 1], out=tmp))
+    if last_move <= lebesgue * cfg.inner_tol:
         return None
-    guess = np.multiply(w[0], nodes[0][1], out=out)
-    for w_j, (_, values) in zip(w[1:], nodes[1:]):
-        guess += np.multiply(w_j, values, out=tmp)
-    if not max_abs(guess) <= 1.0 - cfg.safety_margin:
+    np.dot(w, ring.values.reshape(_SLOTS, -1), out=out.reshape(-1))
+    if not max_abs(out) <= 1.0 - cfg.safety_margin:
         return None
-    return guess
+    return out
 
 
 def step(
@@ -408,12 +425,15 @@ def step(
     """Advance one accepted time step, halving dt on inner-solver failure."""
     dt_try = float(cfg.dt if dt is None else dt)
     phi_n = state.phi.values
-    nodes = ((state.t, phi_n),) + state.history
     grid = state.phi.grid
+    ring = state.history
+    if ring is None or ring.newest is not phi_n or ring.times[0] != state.t:
+        ring = _History(grid.shape)  # not the newest state of a chain: start a new one
+        ring.push(state.t, phi_n)
     ws = _workspace(grid)
     last_residual = np.inf
     while True:
-        guess = _warm_start(nodes, state.t + dt_try, cfg, out=ws.guess, tmp=ws.tmp)
+        guess = _warm_start(ring, state.t + dt_try, cfg, out=ws.guess, tmp=ws.tmp)
         # backward Euler: dt_eff = dt, r_hat = (1 + dt |k|^2 J^) phi_hat^n
         dt_k2 = np.multiply(dt_try, grid.k_squared, out=ws.dt_k2)
         helmholtz = np.multiply(dt_k2, kernel.symbol, out=ws.helmholtz)
@@ -435,25 +455,30 @@ def step(
     # restore the k=0 mode exactly (transform roundoff only)
     mass = float(np.add.reduce(phi_n, axis=None)) / phi_n.size  # np.mean's arithmetic
     solved += mass - float(np.add.reduce(solved, axis=None)) / solved.size
-    if phi_hat is None:  # a halved candidate is not irfft(g_hat)
+    if phi_hat is None:  # a halved candidate is not irfft(g_hat): mu from F'(phi)
         phi_hat = np.fft.rfftn(solved)
+        mu_hat = np.fft.rfftn(pot.derivative(p, solved, out=ws.work), out=ws.g_hat)
+        mu_hat -= np.multiply(kernel.symbol, phi_hat, out=ws.r_hat)
     else:
-        phi_hat.flat[0] = mass * grid.size
+        phi_hat.flat[0] = mass * grid.size  # -mu_hat = d_hat (1 + dt k^2 J^) / (dt k^2)
+        dt_k2.flat[0] = 1.0  # k = 0 carries no gradient: keep its quotient finite
+        factor = np.multiply(dt_k2, kernel.symbol, out=ws.helmholtz)
+        factor += 1.0
+        mu_hat = np.subtract(phi_hat, state.phi_hat, out=ws.g_hat)
+        mu_hat *= np.divide(factor, dt_k2, out=factor)
     phi_hat.setflags(write=False)
-    # ||grad mu||^2 by Parseval, mu_hat = F'(phi)^hat - J^ phi_hat
-    mu_hat = np.fft.rfftn(pot.derivative(p, solved, out=ws.work), out=ws.g_hat)
-    mu_hat -= np.multiply(kernel.symbol, phi_hat, out=ws.r_hat)
     grad_mu_sq = h1_seminorm_sq_of_spectrum(grid, mu_hat, scratch=(ws.dt_k2, ws.helmholtz))
-    dissip = state.dissipation_accum + dt_try * grad_mu_sq
+    phi = Field(grid, solved)
+    ring.push(state.t + dt_try, phi.values)
     return SimState(
         t=state.t + dt_try,
-        phi=Field(grid, solved),
+        phi=phi,
         phi_hat=phi_hat,
-        dissipation_accum=dissip,
+        dissipation_accum=state.dissipation_accum + dt_try * grad_mu_sq,
         step_count=state.step_count + 1,
         last_inner_iters=iters,
         last_dt=dt_try,
-        history=nodes[:HISTORY_DEPTH],
+        history=ring,
     )
 
 

@@ -388,6 +388,12 @@ class TestRejectedArguments:
         assert main(["simulate", str(cfg)]) == 1
         assert "initial" in one_error_line(capsys, "config")
 
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = make_config(tmp_path, tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace("initial.seed = 42", "initial.seed = -1"))
+        assert main(["simulate", str(cfg)]) == 1
+        assert "seed" in one_error_line(capsys, "config")
+
 
 class TestNonFiniteSnapshot:
     def test_equilibrium_guess(self, tmp_path, capsys):

@@ -142,6 +142,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="initial"):
             parse_config(MINIMAL + f"{key} = nan\n")
 
+    @pytest.mark.parametrize("t_end", ["inf", "1e400", "nan"])
+    def test_non_finite_t_end_rejected(self, t_end):
+        # an infinite end time would make simulate step forever
+        with pytest.raises(ConfigError, match="run.t_end"):
+            parse_config(MINIMAL.replace("run.t_end = 0.5", f"run.t_end = {t_end}"))
+
     def test_builders_produce_working_objects(self):
         cfg = parse_config(MINIMAL)
         assert cfg.grid == Grid(1, 32, 4.0)

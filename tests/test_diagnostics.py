@@ -20,7 +20,7 @@ from nlch import (
     energy_alt,
     gn_constant_estimate,
     gn_ratio,
-    mu_linf,
+    lp_norm,
     poincare_ratio,
     poincare_sweep,
     init_state,
@@ -115,20 +115,6 @@ class TestSeparationMargin:
         g = Grid(1, 16, 1.0)
         vals = np.linspace(-0.6, 0.95, 16)
         assert separation_margin(Field(g, vals)) == pytest.approx(0.05, abs=1e-15)
-
-
-class TestMuLinf:
-    def test_uniform_state_closed_form(self, setup):
-        grid, kernel, p = setup
-        c = 0.5
-        mu = Field.constant(grid, derivative(p, c) - c * kernel.j_integral)
-        assert mu_linf(mu) == pytest.approx(
-            abs(derivative(p, c) - c * kernel.j_integral), rel=1e-12
-        )
-
-    def test_zero_field(self):
-        g = Grid(1, 16, 1.0)
-        assert mu_linf(Field.constant(g, 0.0)) == 0.0
 
 
 class TestGNRatio:
@@ -240,6 +226,13 @@ class TestRowsAndSeries:
         assert row.energy == energy(st.phi, kernel, p)
         assert row.energy_alt == energy_alt(st.phi, kernel, p)
 
+    @pytest.mark.parametrize("c", [0.5, 0.0])
+    def test_mu_linf_column_on_a_uniform_state(self, setup, c):
+        grid, kernel, p = setup
+        st = init_state(grid, kernel, p, InitialData(mode="constant", m=c))
+        expected = abs(derivative(p, c) - c * kernel.j_integral)
+        assert make_row(st, kernel, p, 0.0, 0.0).mu_linf == pytest.approx(expected, rel=1e-12)
+
     def test_series_column_roundtrip(self):
         series = TimeSeries()
         assert len(series) == 0
@@ -277,7 +270,7 @@ def composed_row_fields(state, kernel, p, energy_base, dissipation_base):
         min_phi=mn,
         max_phi=mx,
         delta_sep=1.0 - max(abs(mn), abs(mx)),
-        mu_linf=mu_linf(mu),
+        mu_linf=lp_norm(mu, np.inf),
         inner_iters=state.last_inner_iters,
         dt_used=state.last_dt,
     )
